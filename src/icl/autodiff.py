@@ -11,6 +11,19 @@ Graphs are implicit: each op returns a Tensor holding references to its
 parents and a backward rule. ``backward(loss)`` walks the graph in
 reverse topological order with a fixed summation order, so repeated runs
 on identical inputs are bit-identical.
+
+An op keeps no graph when nothing upstream needs a gradient: if no
+parent has ``requires_grad`` or a graph of its own, the returned node
+stores no parents and no backward rule, so the rule's closure and the
+buffers it holds are freed when the op returns. Inference is therefore
+graph-free by construction: wrap parameter arrays in fresh Tensors
+without ``requires_grad``. There is no separate no-grad mode.
+
+Convolutions with kernels larger than 1x1 unroll the input channels-last
+(im2col, Chellapilla et al. 2006): the column matrix is
+``[N*OH*OW, kh*kw*C]`` gathered from an NHWC copy of the padded input,
+so every copy moves contiguous rows of channels; the NCHW layout of the
+public API is converted once on the way in and once on the way out.
 """
 
 from __future__ import annotations
@@ -93,8 +106,14 @@ def _node(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward) -> T
     out.grad = None
     out.requires_grad = False
     out.name = None
-    out._parents = parents
-    out._backward = backward
+    # With nothing upstream to differentiate, keep no graph: dropping the
+    # rule frees its closure (and any im2col buffer) when the op returns.
+    if any(_needs_grad(p) for p in parents):
+        out._parents = parents
+        out._backward = backward
+    else:
+        out._parents = ()
+        out._backward = None
     out._op = op
     return out
 
@@ -272,7 +291,17 @@ def _conv2d_1x1(x: Tensor, w: Tensor, b: Tensor | None, sh: int, sw: int) -> Ten
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride: int | tuple[int, int] = 1, padding: str = "same") -> Tensor:
-    """2-D convolution (cross-correlation), NCHW layout, via im2col."""
+    """2-D convolution (cross-correlation), NCHW layout, via im2col.
+
+    The public layout is NCHW, but the unrolled matrix is channels-last:
+    ``cols[N*OH*OW, kh*kw*C]`` is gathered from a sliding-window view of
+    an NHWC copy of the padded input, so every copy moves a contiguous
+    row of C channels, and the weights are read as ``(F, kh, kw, C)`` to
+    match. Backward computes dW as ``g2.T @ cols`` and, for dx, adds
+    ``g2 @ W[:, i, j]`` one kernel tap at a time into a padded NHWC
+    buffer that is transposed back to NCHW once. Kernels of 1x1 with
+    ``same`` padding take the pointwise path instead.
+    """
     _require(x.data.ndim == 4, "conv2d", f"expected NCHW input, got {x.data.shape}")
     _require(w.data.ndim == 4, "conv2d", f"expected FCKK weights, got {w.data.shape}")
     n, c, h, wid = x.data.shape
@@ -285,12 +314,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         return _conv2d_1x1(x, w, b, sh, sw)
     oh, ow, (pt, pb), (pl, pr) = _conv_geometry(h, wid, kh, kw, sh, sw, padding)
 
-    padded = pt or pb or pl or pr
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if padded else x.data
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    # [N, C, OH, OW, kh, kw] -> [N*OH*OW, C*kh*kw]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    wmat = w.data.reshape(f, -1)
+    padded_shape = (n, h + pt + pb, wid + pl + pr, c)
+    xp = np.zeros(padded_shape, dtype=x.data.dtype)
+    xp[:, pt: pt + h, pl: pl + wid] = x.data.transpose(0, 2, 3, 1)
+    # [N, OH, OW, C, kh, kw] -> [N*OH*OW, kh*kw*C]: one gather whose
+    # innermost run is a contiguous row of C channels.
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
+    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, kh * kw * c)
+    wmat = w.data.transpose(0, 2, 3, 1).reshape(f, kh * kw * c)
     out2 = cols @ wmat.T
     out = np.ascontiguousarray(out2.reshape(n, oh, ow, f).transpose(0, 3, 1, 2))
     if b is not None:
@@ -298,20 +329,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
     def back(g: np.ndarray):
         g2 = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, f)
-        dw = (g2.T @ cols).reshape(f, c, kh, kw) if _needs_grad(w) else None
+        dw = None
+        if _needs_grad(w):
+            dw = np.ascontiguousarray(
+                (g2.T @ cols).reshape(f, kh, kw, c).transpose(0, 3, 1, 2))
         dx = None
         if _needs_grad(x):
-            dcols = g2 @ wmat
-            # Repack once into [kh, kw, N, C, OH, OW] so the per-tap adds
-            # below read contiguous slabs.
-            dwin = np.ascontiguousarray(
-                dcols.reshape(n, oh, ow, c, kh, kw).transpose(4, 5, 0, 3, 1, 2))
-            dxp = np.zeros_like(xp)
+            wtaps = wmat.reshape(f, kh, kw, c)
+            dxp = np.zeros(padded_shape, dtype=x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, :, i: i + sh * (oh - 1) + 1: sh,
-                        j: j + sw * (ow - 1) + 1: sw] += dwin[i, j]
-            dx = dxp[:, :, pt: pt + h, pl: pl + wid] if padded else dxp
+                    dxp[:, i: i + sh * (oh - 1) + 1: sh, j: j + sw * (ow - 1) + 1: sw] += (
+                        g2 @ wtaps[:, i, j]).reshape(n, oh, ow, c)
+            dx = np.ascontiguousarray(
+                dxp[:, pt: pt + h, pl: pl + wid].transpose(0, 3, 1, 2))
         if b is not None:
             return dx, dw, g.sum(axis=(0, 2, 3))
         return dx, dw

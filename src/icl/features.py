@@ -32,6 +32,8 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 CACHE_MAGIC = b"ICLF"
 CACHE_VERSION = 1
+_CACHE_HEADER = struct.Struct("<HBIII")  # version, kind code, frames, bins, label
+CACHE_HEADER_BYTES = len(CACHE_MAGIC) + _CACHE_HEADER.size  # 19
 
 
 class FeatureError(Exception):
@@ -328,23 +330,26 @@ def write_feature_cache(path, values: np.ndarray, kind: str, label: int) -> None
     arr = np.ascontiguousarray(values, dtype="<f4")
     if arr.ndim != 2:
         raise FeatureError(f"feature cache stores 2-D matrices, got shape {arr.shape}")
-    header = CACHE_MAGIC + struct.pack("<HBIII", CACHE_VERSION, _KIND_CODES[kind],
-                                       arr.shape[0], arr.shape[1], int(label))
+    header = CACHE_MAGIC + _CACHE_HEADER.pack(CACHE_VERSION, _KIND_CODES[kind],
+                                              arr.shape[0], arr.shape[1], int(label))
     Path(path).write_bytes(header + arr.tobytes())
 
 
 def read_feature_cache(path) -> tuple[str, int, np.ndarray]:
     """Read a cache file back as (kind, label, float32 matrix)."""
     buf = Path(path).read_bytes()
+    if len(buf) < CACHE_HEADER_BYTES:
+        raise FeatureError(f"feature cache {path} has {len(buf)} bytes, "
+                           f"shorter than its {CACHE_HEADER_BYTES}-byte header")
     if buf[:4] != CACHE_MAGIC:
         raise FeatureError(f"bad feature cache magic in {path}: {buf[:4]!r}")
-    version, code, n_frames, n_bins, label = struct.unpack_from("<HBIII", buf, 4)
+    version, code, n_frames, n_bins, label = _CACHE_HEADER.unpack_from(buf, 4)
     if version != CACHE_VERSION:
         raise FeatureError(f"unsupported feature cache version {version}")
     if code not in _KIND_NAMES:
         raise FeatureError(f"unknown feature kind code {code} in {path}")
-    expected = 19 + 4 * n_frames * n_bins
+    expected = CACHE_HEADER_BYTES + 4 * n_frames * n_bins
     if len(buf) != expected:
         raise FeatureError(f"feature cache {path} has {len(buf)} bytes, expected {expected}")
-    data = np.frombuffer(buf, dtype="<f4", count=n_frames * n_bins, offset=19)
+    data = np.frombuffer(buf, dtype="<f4", count=n_frames * n_bins, offset=CACHE_HEADER_BYTES)
     return _KIND_NAMES[code], int(label), data.reshape(n_frames, n_bins).copy()

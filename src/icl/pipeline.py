@@ -5,7 +5,8 @@ Each stage reads and writes plain artifacts under one output directory:
     out/
       manifest.json            synthesized dataset description + WAV paths
       wavs/*.wav               synthesized tracks (16-bit PCM)
-      features/index.json      segment table and feature geometry
+      features/index.json      segment table, feature geometry and the
+                               features/segmentation config that made them
       features/<kind>/*.iclf   cached feature matrices
       runs/<name>/             per-run: resolved_config.json, metrics.jsonl,
                                checkpoint.iclc, stats.json, run.json, eval.json,
@@ -29,6 +30,28 @@ from .config import save_config
 
 class PipelineError(Exception):
     pass
+
+
+# Config blocks that decide the cached feature values. Extract records them
+# in the index; every reader refuses a cache made under other values, except
+# for ``features.kinds``: it only decides which kinds are cached, and a
+# missing kind is refused on its own.
+_CACHE_BLOCKS = ("features", "segmentation")
+
+
+def _cache_config(cfg: dict) -> dict:
+    # The JSON round trip makes it compare equal to the recorded copy.
+    return json.loads(json.dumps({block: cfg[block] for block in _CACHE_BLOCKS}))
+
+
+def _flatten(doc: dict, prefix: str = "") -> dict:
+    flat = {}
+    for key, value in doc.items():
+        if isinstance(value, dict) and value:
+            flat.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            flat[f"{prefix}{key}"] = value
+    return flat
 
 
 def synthesis_spec_from_config(cfg: dict) -> audio.SynthesisSpec:
@@ -138,6 +161,7 @@ def cmd_extract(cfg: dict, out_dir, jobs: int = 1) -> dict:
         "n_classes": max(labels) + 1,
         "skipped_tracks": skipped,
         "feature_geometry": geometry,
+        "config": _cache_config(cfg),
         "segments": [{"id": s.segment_id, "track": s.parent_track_id,
                       "label": s.label, "offset": s.offset} for s in segments],
     }
@@ -146,17 +170,17 @@ def cmd_extract(cfg: dict, out_dir, jobs: int = 1) -> dict:
     return index
 
 
+SPLITS = ("train", "val", "test")
+
+
 def _split_index(cfg: dict, index: dict) -> audio.SplitAssignment:
     refs = [SimpleNamespace(parent_track_id=s["track"], label=s["label"], segment_id=s["id"])
             for s in index["segments"]]
     return audio.split_track_disjoint(refs, tuple(cfg["split"]["ratios"]), seed=cfg["seed"])
 
 
-def load_dataset(cfg: dict, out_dir, kinds: tuple[str, ...],
-                 stats: dict[str, features.FeatureStats] | None = None,
-                 ) -> tuple[training.DatasetSplits, dict[str, features.FeatureStats]]:
-    """Read cached features, split track-disjointly, normalize with train stats."""
-    out_dir = Path(out_dir)
+def _read_index(cfg: dict, out_dir: Path, kinds: tuple[str, ...]) -> dict:
+    """The feature cache index, checked against the kinds and config asked for."""
     index_path = out_dir / "features" / "index.json"
     if not index_path.exists():
         raise PipelineError(f"missing feature cache index {index_path}; run `icl extract` first")
@@ -164,29 +188,52 @@ def load_dataset(cfg: dict, out_dir, kinds: tuple[str, ...],
     for kind in kinds:
         if kind not in index["kinds"]:
             raise PipelineError(f"feature kind {kind!r} was not extracted (have {index['kinds']})")
+    if "config" not in index:
+        raise PipelineError(f"{index_path} does not record the config it was extracted with; "
+                            "re-run `icl extract`")
+    cached, wanted = _flatten(index["config"]), _flatten(_cache_config(cfg))
+    differ = [key for key in sorted(cached.keys() | wanted.keys())
+              if key != "features.kinds" and cached.get(key) != wanted.get(key)]
+    if differ:
+        detail = ", ".join(f"{key} (cache {cached.get(key)!r}, config {wanted.get(key)!r})"
+                           for key in differ)
+        raise PipelineError(f"feature cache {index_path} was extracted with a different config: "
+                            f"{detail}; re-run `icl extract`")
+    return index
+
+
+def _read_row(out_dir: Path, kind: str, ref) -> np.ndarray:
+    """One segment's cached feature matrix, its label checked against the index."""
+    _, label, values = features.read_feature_cache(
+        out_dir / "features" / kind / f"{ref.segment_id}.iclf")
+    if label != ref.label:
+        raise PipelineError(f"label mismatch for {ref.segment_id} in {kind} cache")
+    return values
+
+
+def load_dataset(cfg: dict, out_dir, kinds: tuple[str, ...],
+                 stats: dict[str, features.FeatureStats] | None = None,
+                 ) -> tuple[training.DatasetSplits, dict[str, features.FeatureStats]]:
+    """Read cached features, split track-disjointly, normalize with train stats."""
+    out_dir = Path(out_dir)
+    index = _read_index(cfg, out_dir, kinds)
     assignment = _split_index(cfg, index)
 
     raw: dict[str, dict[str, np.ndarray]] = {k: {} for k in kinds}
     labels: dict[str, np.ndarray] = {}
     segment_ids: dict[str, list[str]] = {}
-    for split in ("train", "val", "test"):
+    for split in SPLITS:
         refs = getattr(assignment, split)
         segment_ids[split] = [r.segment_id for r in refs]
         labels[split] = np.array([r.label for r in refs], dtype=np.int64)
         for kind in kinds:
-            mats = []
-            for r in refs:
-                path = out_dir / "features" / kind / f"{r.segment_id}.iclf"
-                k, label, values = features.read_feature_cache(path)
-                if label != r.label:
-                    raise PipelineError(f"label mismatch for {r.segment_id} in {kind} cache")
-                mats.append(values)
-            raw[kind][split] = np.stack(mats).astype(np.float64)
+            raw[kind][split] = np.stack(
+                [_read_row(out_dir, kind, r) for r in refs]).astype(np.float64)
 
     if stats is None:
         stats = {k: features.compute_feature_stats(list(raw[k]["train"]), k) for k in kinds}
     feats = {k: {split: features.normalize_features(stats[k], raw[k][split])[:, None, :, :]
-                 for split in ("train", "val", "test")} for k in kinds}
+                 for split in SPLITS} for k in kinds}
     data = training.DatasetSplits(features=feats, labels=labels,
                                   n_classes=index["n_classes"], segment_ids=segment_ids)
     return data, stats
@@ -278,12 +325,16 @@ def cmd_eval(out_dir, run_name: str) -> dict:
 
 def cmd_cam(out_dir, run_name: str, split: str = "test", index: int = 0,
             class_index: int | None = None, segment_id: str | None = None) -> list[Path]:
-    """Export per-encoder class activation maps for one cached segment."""
+    """Export per-encoder class activation maps for one cached segment.
+
+    Reads only that segment's cache file per kind, normalized with the
+    run's training statistics exactly as ``load_dataset`` would.
+    """
     out_dir = Path(out_dir)
     run_dir, cfg, info, stats, params = _load_run(out_dir, run_name)
     kinds = tuple(info["feature_kinds"])
-    data, _ = load_dataset(cfg, out_dir, kinds, stats=stats)
-    ids = data.segment_ids[split]
+    refs = getattr(_split_index(cfg, _read_index(cfg, out_dir, kinds)), split)
+    ids = [r.segment_id for r in refs]
     if segment_id is not None:
         if segment_id not in ids:
             raise PipelineError(f"segment {segment_id!r} not in split {split!r}")
@@ -294,7 +345,8 @@ def cmd_cam(out_dir, run_name: str, split: str = "test", index: int = 0,
 
     enc_cfgs = encoder_configs(cfg, kinds)
     tensors = {n: training.Tensor(p) for n, p in params.items()}
-    batch = {k: data.features[k][split][index: index + 1] for k in kinds}
+    batch = {k: features.normalize_features(
+        stats[k], _read_row(out_dir, k, refs[index]))[None, None] for k in kinds}
     logits, outputs = training._forward(tensors, enc_cfgs, kinds, batch)
     target = int(np.argmax(logits.data[0])) if class_index is None else class_index
 

@@ -114,8 +114,12 @@ def _forward(params: dict[str, Tensor], enc_cfgs, kinds, batches: dict[str, np.n
 
 def predict_logits(params, enc_cfgs, kinds, features: dict[str, np.ndarray],
                    batch_size: int = 64) -> np.ndarray:
-    """Forward-only logits for a whole split; accepts Tensor or ndarray params."""
-    tensors = {n: (p if isinstance(p, Tensor) else Tensor(p)) for n, p in params.items()}
+    """Forward-only logits for a whole split; accepts Tensor or ndarray params.
+
+    Parameters are rewrapped in fresh Tensors that need no gradient, so
+    the forward pass builds no graph, even on live training parameters.
+    """
+    tensors = {n: Tensor(p.data if isinstance(p, Tensor) else p) for n, p in params.items()}
     n = next(iter(features.values())).shape[0]
     chunks = []
     for start in range(0, n, batch_size):

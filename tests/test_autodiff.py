@@ -176,3 +176,63 @@ def off_kink(local_rng, shape, margin=0.05):
     """Random values nudged away from zero so relu kinks stay inactive."""
     x = local_rng.standard_normal(shape)
     return x + np.sign(x) * margin
+
+
+# --- conv2d against a plain tap-sum reference ---
+
+
+def conv_reference(x, w, b, g, stride, padding):
+    """Output and (dx, dW, db) of sum(conv2d(x, w, b) * g), one kernel tap at a time."""
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    if padding == "same":
+        oh, ow = -(-h // stride), -(-wd // stride)
+        ph, pw = max((oh - 1) * stride + kh - h, 0), max((ow - 1) * stride + kw - wd, 0)
+    else:
+        oh, ow = (h - kh) // stride + 1, (wd - kw) // stride + 1
+        ph = pw = 0
+    top, left = ph // 2, pw // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (top, ph - top), (left, pw - left)))
+    out = np.zeros((n, f, oh, ow)) + b[None, :, None, None]
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for i in range(kh):
+        for j in range(kw):
+            rows = slice(i, i + stride * (oh - 1) + 1, stride)
+            cols = slice(j, j + stride * (ow - 1) + 1, stride)
+            out += np.einsum("nchw,fc->nfhw", xp[:, :, rows, cols], w[:, :, i, j])
+            dw[:, :, i, j] = np.einsum("nfhw,nchw->fc", g, xp[:, :, rows, cols])
+            dxp[:, :, rows, cols] += np.einsum("nfhw,fc->nchw", g, w[:, :, i, j])
+    return out, (dxp[:, :, top: top + h, left: left + wd], dw, g.sum(axis=(0, 2, 3)))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("kernel", [(3, 3), (1, 3)])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_conv2d_matches_tap_sum_reference(stride, padding, kernel, channels):
+    local = np.random.default_rng([stride, len(padding), kernel[0], channels])
+    x = Tensor(local.standard_normal((2, channels, 7, 6)), requires_grad=True)
+    w = Tensor(local.standard_normal((4, channels, *kernel)), requires_grad=True)
+    b = Tensor(local.standard_normal(4), requires_grad=True)
+    out = ad.conv2d(x, w, b, stride, padding)
+    g = local.standard_normal(out.data.shape)
+    ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+
+    want_out, want_grads = conv_reference(x.data, w.data, b.data, g, stride, padding)
+    np.testing.assert_allclose(out.data, want_out, rtol=1e-12, atol=1e-12)
+    for got, want in zip((x.grad, w.grad, b.grad), want_grads):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_ops_on_inputs_without_grad_keep_no_graph():
+    x = Tensor(rng.standard_normal((2, 3, 5, 4)))
+    w = Tensor(rng.standard_normal((4, 3, 3, 3)))
+    for out in (ad.relu(x), ad.conv2d(x, w), ad.conv2d(x, Tensor(np.ones((2, 3, 1, 1)))),
+                ad.add(ad.relu(x), ad.relu(x))):
+        assert out._parents == () and out._backward is None
+    # One parent that needs a gradient is enough to keep the graph.
+    w.requires_grad = True
+    out = ad.conv2d(ad.relu(x), w)
+    assert len(out._parents) == 2 and out._backward is not None

@@ -294,6 +294,15 @@ def test_feature_cache_rejects_corruption(tmp_path):
         read_feature_cache(tmp_path / "short.iclf")
 
 
+@pytest.mark.parametrize("length", range(19))
+def test_feature_cache_rejects_truncated_header(tmp_path, length):
+    path = tmp_path / "seg.iclf"
+    write_feature_cache(path, np.ones((3, 4), dtype=np.float32), "mel", 0)
+    path.write_bytes(path.read_bytes()[:length])
+    with pytest.raises(FeatureError, match="header"):
+        read_feature_cache(path)
+
+
 def test_spectrogram_rejects_nonfinite():
     with pytest.raises(FeatureError, match="non-finite"):
         features.Spectrogram("mel", np.array([[np.inf]]), np.zeros(1), np.zeros(1))

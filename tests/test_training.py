@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from icl import training
 from icl.model import EncoderConfig
 from icl.training import (DatasetSplits, TrainingError, TrainSettings,
                           predict_proba, train)
@@ -113,6 +114,28 @@ def test_predict_proba_rows_are_distributions():
                           {k: data.features[k]["test"] for k in ("mel", "cqt")})
     assert probs.shape == (8, 3)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_predict_logits_on_live_params_is_graph_free(monkeypatch):
+    data = toy_data()
+    kinds = ("mel", "cqt")
+    params = training.init_model_params(kinds, TINY_CFG, data.n_classes, seed=0)
+    batch = {k: data.features[k]["val"] for k in kinds}
+    want, _ = training._forward(params, TINY_CFG, kinds, batch)
+
+    seen = []
+    forward = training._forward
+
+    def spy(*args):
+        logits, outputs = forward(*args)
+        seen.append(logits)
+        return logits, outputs
+
+    monkeypatch.setattr(training, "_forward", spy)
+    got = training.predict_logits(params, TINY_CFG, kinds, batch)
+    assert np.array_equal(got, want.data)
+    assert seen and all(t._parents == () and t._backward is None for t in seen)
+    assert all(p.grad is None for p in params.values())
 
 
 def test_settings_validation():
