@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import wavio
+from .errors import IclError, read_json
 
 
-class AudioError(Exception):
+class AudioError(IclError):
     pass
 
 
@@ -190,20 +191,7 @@ def write_manifest(path, entries: list[dict], synthesis: SynthesisSpec | None = 
     """JSON manifest: per-track {track_id, path|synthesis, label} records."""
     doc = {"tracks": entries}
     if synthesis is not None:
-        doc["synthesis_spec"] = {
-            "n_classes": synthesis.n_classes,
-            "line_freqs": synthesis.line_freqs,
-            "mod_rates": synthesis.mod_rates,
-            "mod_depth": synthesis.mod_depth,
-            "carrier_band": list(synthesis.carrier_band),
-            "snr_db": synthesis.snr_db,
-            "tracks_per_class": synthesis.tracks_per_class,
-            "track_duration": synthesis.track_duration,
-            "sample_rate": synthesis.sample_rate,
-            "seed": synthesis.seed,
-            "line_gain": synthesis.line_gain,
-            "carrier_gain": synthesis.carrier_gain,
-        }
+        doc["synthesis_spec"] = asdict(synthesis)
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -227,22 +215,26 @@ def spec_from_dict(d: dict) -> SynthesisSpec:
 def load_manifest(path) -> list[AudioTrack]:
     """Load every track in a manifest, from WAV paths or synth parameters."""
     path = Path(path)
-    doc = json.loads(path.read_text())
-    spec = spec_from_dict(doc["synthesis_spec"]) if "synthesis_spec" in doc else None
+    doc = read_json(path)
+    try:
+        spec = spec_from_dict(doc["synthesis_spec"]) if "synthesis_spec" in doc else None
+        entries = [(e["track_id"], int(e["label"]), e.get("path"),
+                    int(e["synthesis"]["index"]) if "synthesis" in e else None)
+                   for e in doc["tracks"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise AudioError(f"manifest {path} is malformed: {exc!r}") from exc
     tracks = []
-    for entry in doc["tracks"]:
-        label = int(entry["label"])
-        if "path" in entry:
-            wav = path.parent / entry["path"]
-            tracks.append(load_wav(wav, track_id=entry["track_id"], label=label))
-        elif "synthesis" in entry:
+    for track_id, label, rel, index in entries:
+        if rel is not None:
+            tracks.append(load_wav(path.parent / str(rel), track_id=track_id, label=label))
+        elif index is not None:
             if spec is None:
                 raise AudioError(f"manifest {path} has synthesis entries but no synthesis_spec")
-            track = synthesize_track(spec, label, int(entry["synthesis"]["index"]))
-            track.track_id = entry["track_id"]
+            track = synthesize_track(spec, label, index)
+            track.track_id = track_id
             tracks.append(track)
         else:
-            raise AudioError(f"manifest entry {entry.get('track_id')} has neither path nor synthesis")
+            raise AudioError(f"manifest entry {track_id} has neither path nor synthesis")
     return tracks
 
 

@@ -33,8 +33,10 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import IclError
 
-class AutodiffError(Exception):
+
+class AutodiffError(IclError):
     """Base class for graph construction and execution errors."""
 
 

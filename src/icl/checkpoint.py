@@ -19,11 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import IclError
+
 MAGIC = b"ICLC"
 VERSION = 1
 
 
-class CheckpointError(Exception):
+class CheckpointError(IclError):
     pass
 
 
@@ -43,17 +45,15 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"checkpoint not found: {path}")
     buf = path.read_bytes()
     if buf[:4] != MAGIC:
         raise CheckpointError(f"bad magic in {path}: {buf[:4]!r}")
-    version, count = struct.unpack_from("<HI", buf, 4)
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    pos = 10
     params: dict[str, np.ndarray] = {}
     try:
+        version, count = struct.unpack_from("<HI", buf, 4)
+        if version != VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        pos = 10
         for _ in range(count):
             (nlen,) = struct.unpack_from("<H", buf, pos)
             pos += 2

@@ -4,8 +4,8 @@ Commands: synth, extract, train, eval, cam, report. Configuration comes
 from defaults, an optional preset (--preset desk), an optional JSON
 config file, dotted-path --set overrides, and the ICL_SEED environment
 variable, in that order. Every command writes the fully resolved config
-next to its outputs. Errors exit nonzero with a single `error: ...`
-line on stderr.
+next to its outputs. Any IclError or OSError exits with status 1 and a
+single `error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -14,22 +14,8 @@ import argparse
 import sys
 
 from . import pipeline
-from .audio import AudioError, SplitError
-from .autodiff import AutodiffError
-from .checkpoint import CheckpointError
-from .config import ConfigError, resolve_config
-from .features import FeatureError
-from .metrics import MetricsError
-from .model import ModelError
-from .optim import NonFiniteGradientError
-from .pipeline import PipelineError
-from .reporting import ReportError
-from .training import TrainingError
-from .wavio import WavError
-
-_ERRORS = (ConfigError, PipelineError, AudioError, SplitError, FeatureError,
-           AutodiffError, ModelError, TrainingError, MetricsError, ReportError,
-           WavError, CheckpointError, NonFiniteGradientError, FileNotFoundError)
+from .config import resolve_config
+from .errors import IclError
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -38,7 +24,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", default=None, help="named preset (e.g. desk)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY.PATH=VALUE", help="override a config leaf")
-    parser.add_argument("--jobs", type=int, default=1, help="worker cap for parallel stages")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
             manifest = pipeline.cmd_synth(cfg, args.out)
             print(f"wrote {manifest}")
         elif args.command == "extract":
-            index = pipeline.cmd_extract(cfg, args.out, jobs=args.jobs)
+            index = pipeline.cmd_extract(cfg, args.out)
             print(f"cached {len(index['segments'])} segments x {len(index['kinds'])} kinds "
                   f"({index['skipped_tracks']} tracks skipped)")
         elif args.command == "train":
@@ -101,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
             for row in doc["summary"]:
                 print(f"{row['method']:12s} {row['features']:8s} alpha={row['alpha']:g} "
                       f"mean_acc={row['mean_accuracy']:.4f} over seeds {row['seeds']}")
-    except _ERRORS as exc:
+    except (IclError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

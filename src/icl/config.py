@@ -3,7 +3,8 @@
 A run is described by one JSON document. Flags may override any leaf
 through dotted paths (``training.alpha=2``), and every command writes
 the fully resolved document next to its outputs so a run can be
-reproduced from that file alone.
+reproduced from that file alone. The typed settings built here from the
+document check their own fields.
 """
 
 from __future__ import annotations
@@ -11,10 +12,14 @@ from __future__ import annotations
 import copy
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
+from . import audio, features, model, training
+from .errors import IclError, read_json
 
-class ConfigError(Exception):
+
+class ConfigError(IclError):
     pass
 
 
@@ -124,12 +129,10 @@ def resolve_config(config_path=None, preset: str | None = None,
         cfg = _deep_merge(cfg, PRESETS[preset])
     if config_path is not None:
         path = Path(config_path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            cfg = _deep_merge(cfg, json.loads(path.read_text()))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        doc = read_json(path)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+        cfg = _deep_merge(cfg, doc)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key.path=value, got {item!r}")
@@ -144,52 +147,73 @@ def resolve_config(config_path=None, preset: str | None = None,
     return cfg
 
 
+@contextmanager
+def _block(name: str):
+    """Report an error in config block ``name`` as a ConfigError on it. Typed
+    settings start each message with the field name: block + message is a dotted path."""
+    try:
+        yield
+    except IclError as exc:
+        raise ConfigError(f"{name}.{exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: malformed value: {exc!r}") from exc
+
+
+def train_settings(cfg: dict) -> training.TrainSettings:
+    with _block("training"):
+        tr = cfg["training"]
+        return training.TrainSettings(
+            mode=tr["mode"], epochs=tr["epochs"], batch_size=tr["batch_size"], lr=tr["lr"],
+            weight_decay=tr["weight_decay"], alpha=tr["alpha"], seed=cfg["seed"],
+            symmetric_icl=tr["symmetric_icl"])
+
+
+def encoder_configs(cfg: dict, kinds: tuple[str, ...]) -> dict[str, model.EncoderConfig]:
+    with _block("encoder"):
+        enc = cfg["encoder"]
+        return {kind: model.EncoderConfig(
+            input_kind=kind,
+            stem_channels=enc["stem_channels"],
+            blocks_per_stage=tuple(enc["blocks_per_stage"]),
+            channel_widths=tuple(enc["channel_widths"]),
+            embedding_dim=enc["embedding_dim"]) for kind in kinds}
+
+
+def frame_config(cfg: dict, kind: str) -> features.FrameConfig:
+    feats = cfg["features"]
+    override = feats.get("cqt_frame") if kind == "cqt" else None
+    with _block("features.cqt_frame" if override else "features"):
+        return features.FrameConfig(**{"frame_len_ms": feats["frame_len_ms"],
+                                       "frame_shift_ms": feats["frame_shift_ms"],
+                                       "fft_size": feats["fft_size"], **(override or {})})
+
+
 def _check(cond: bool, field: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{field}: {message}")
 
 
 def validate_config(cfg: dict) -> None:
-    tr = cfg["training"]
-    _check(tr["mode"] in ("icl", "mel", "cqt", "stft"), "training.mode",
-           f"must be icl|mel|cqt|stft, got {tr['mode']!r}")
-    _check(tr["alpha"] >= 0, "training.alpha", f"must be >= 0, got {tr['alpha']}")
-    _check(tr["epochs"] >= 1, "training.epochs", "must be >= 1")
-    _check(tr["lr"] > 0, "training.lr", "must be positive")
-    _check(tr["weight_decay"] >= 0, "training.weight_decay", "must be >= 0")
-    if tr["mode"] == "icl":
-        _check(tr["batch_size"] >= 2, "training.batch_size",
-               "contrastive mode needs batch_size >= 2")
-    else:
-        _check(tr["batch_size"] >= 1, "training.batch_size", "must be >= 1")
-
-    ratios = cfg["split"]["ratios"]
-    _check(len(ratios) == 3 and all(r > 0 for r in ratios), "split.ratios",
-           f"need three positive ratios, got {ratios}")
-    _check(abs(sum(ratios) - 1.0) <= 1e-9, "split.ratios",
-           f"must sum to 1, got {sum(ratios)!r}")
-
-    seg = cfg["segmentation"]
-    _check(0 <= seg["overlap"] < seg["segment_len"], "segmentation.overlap",
-           f"must be in [0, segment_len={seg['segment_len']})")
+    """Build the typed settings, then check the facts only this document holds."""
+    mode = train_settings(cfg).mode
+    encoder_configs(cfg, ("mel",))
+    # Segmentation and the split check their own parameters; on no input
+    # they do nothing else.
+    with _block("segmentation"):
+        audio.segment_tracks([], cfg["segmentation"]["segment_len"], cfg["segmentation"]["overlap"])
+    with _block("split"):
+        audio.split_track_disjoint([], tuple(cfg["split"]["ratios"]))
 
     feats = cfg["features"]
-    _check(feats["frame_len_ms"] > 0 and 0 < feats["frame_shift_ms"] <= feats["frame_len_ms"],
-           "features.frame_shift_ms", "need 0 < shift <= frame length")
+    _check(all(k in features.KINDS for k in feats["kinds"]), "features.kinds",
+           f"entries must be stft|mel|cqt, got {feats['kinds']}")
+    for kind in ("mel", "cqt") if mode == training.MODE_ICL else (mode,):
+        _check(kind in feats["kinds"], "features.kinds",
+               f"mode {mode!r} needs {kind!r} in extracted kinds {feats['kinds']}")
+    for kind in feats["kinds"]:
+        frame_config(cfg, kind)
     _check(feats["mel"]["n_filters"] >= 1, "features.mel.n_filters", "must be >= 1")
     _check(feats["cqt"]["bins_per_octave"] >= 1, "features.cqt.bins_per_octave", "must be >= 1")
-    _check(all(k in ("stft", "mel", "cqt") for k in feats["kinds"]), "features.kinds",
-           f"entries must be stft|mel|cqt, got {feats['kinds']}")
-    needed = ("mel", "cqt") if tr["mode"] == "icl" else (tr["mode"],)
-    for kind in needed:
-        _check(kind in feats["kinds"], "features.kinds",
-               f"mode {tr['mode']!r} needs {kind!r} in extracted kinds {feats['kinds']}")
-
-    enc = cfg["encoder"]
-    _check(len(enc["blocks_per_stage"]) == len(enc["channel_widths"]), "encoder",
-           "blocks_per_stage and channel_widths must have equal length")
-    _check(enc["embedding_dim"] == enc["channel_widths"][-1], "encoder.embedding_dim",
-           f"must equal last channel width {enc['channel_widths'][-1]}")
 
     ds = cfg["dataset"]
     _check(ds["manifest"] is not None or ds["synthesis"] is not None, "dataset",
@@ -201,7 +225,3 @@ def validate_config(cfg: dict) -> None:
 
 def save_config(cfg: dict, path) -> None:
     Path(path).write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
-
-
-def load_config(path) -> dict:
-    return json.loads(Path(path).read_text())

@@ -21,6 +21,8 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import IclError
+
 LOG_FLOOR = 1e-10
 
 KIND_STFT = "stft"
@@ -36,7 +38,7 @@ _CACHE_HEADER = struct.Struct("<HBIII")  # version, kind code, frames, bins, lab
 CACHE_HEADER_BYTES = len(CACHE_MAGIC) + _CACHE_HEADER.size  # 19
 
 
-class FeatureError(Exception):
+class FeatureError(IclError):
     pass
 
 
@@ -54,8 +56,8 @@ class FrameConfig:
 
     def __post_init__(self):
         if not 0 < self.frame_shift_ms <= self.frame_len_ms:
-            raise FeatureError(
-                f"frame shift {self.frame_shift_ms} ms must be in (0, {self.frame_len_ms}]")
+            raise FeatureError(f"frame_shift_ms {self.frame_shift_ms} must be in "
+                               f"(0, frame_len_ms {self.frame_len_ms}]")
 
     def frame_samples(self, sample_rate: float) -> int:
         return int(round(self.frame_len_ms * 1e-3 * sample_rate))

@@ -6,8 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import IclError
 
-class MetricsError(Exception):
+
+class MetricsError(IclError):
     pass
 
 

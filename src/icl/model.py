@@ -19,9 +19,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import IclError
 
 
-class ModelError(Exception):
+class ModelError(IclError):
     pass
 
 
@@ -58,15 +59,13 @@ def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_encoder_params(cfg: EncoderConfig, seed: int, prefix: str) -> dict[str, Tensor]:
-    """He-uniform conv weights, zero biases; names namespaced by prefix."""
-    rng = np.random.default_rng([seed, zlib.crc32(prefix.encode())])
-    params: dict[str, Tensor] = {}
+def encoder_param_shapes(cfg: EncoderConfig, prefix: str) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every encoder parameter, in initialization order."""
+    shapes: dict[str, tuple[int, ...]] = {}
 
     def conv(name: str, out_ch: int, in_ch: int, k: int) -> None:
-        w = _he_uniform(rng, (out_ch, in_ch, k, k), in_ch * k * k)
-        params[f"{name}/w"] = Tensor(w, requires_grad=True, name=f"{name}/w")
-        params[f"{name}/b"] = Tensor(np.zeros(out_ch), requires_grad=True, name=f"{name}/b")
+        shapes[f"{name}/w"] = (out_ch, in_ch, k, k)
+        shapes[f"{name}/b"] = (out_ch,)
 
     conv(f"{prefix}/stem", cfg.stem_channels, 1, 3)
     in_ch = cfg.stem_channels
@@ -79,7 +78,17 @@ def init_encoder_params(cfg: EncoderConfig, seed: int, prefix: str) -> dict[str,
             if in_ch != width or stride != 1:
                 conv(f"{base}/proj", width, in_ch, 1)
             in_ch = width
-    return params
+    return shapes
+
+
+def init_encoder_params(cfg: EncoderConfig, seed: int, prefix: str) -> dict[str, Tensor]:
+    """He-uniform conv weights (fan-in = all but the output axis), drawn in
+    the order of ``encoder_param_shapes``; zero biases."""
+    rng = np.random.default_rng([seed, zlib.crc32(prefix.encode())])
+    return {name: Tensor(_he_uniform(rng, shape, int(np.prod(shape[1:])))
+                         if name.endswith("/w") else np.zeros(shape),
+                         requires_grad=True, name=name)
+            for name, shape in encoder_param_shapes(cfg, prefix).items()}
 
 
 def encoder_forward(params: dict[str, Tensor], cfg: EncoderConfig, x: Tensor) -> EncoderOutput:

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor
+from .errors import IclError
 
 
-class NonFiniteGradientError(Exception):
+class NonFiniteGradientError(IclError):
     """Raised when a step sees NaN/Inf gradients; no parameter is touched."""
 
 

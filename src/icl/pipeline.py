@@ -17,7 +17,6 @@ Each stage reads and writes plain artifacts under one output directory:
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,10 +24,11 @@ import numpy as np
 
 from . import audio, features, metrics, model, reporting, training
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import save_config
+from .config import encoder_configs, frame_config, save_config, train_settings
+from .errors import IclError, read_json
 
 
-class PipelineError(Exception):
+class PipelineError(IclError):
     pass
 
 
@@ -84,19 +84,7 @@ def _load_tracks(cfg: dict, out_dir: Path) -> list[audio.AudioTrack]:
     local = Path(out_dir) / "manifest.json"
     if local.exists():
         return audio.load_manifest(local)
-    if cfg["dataset"]["synthesis"] is not None:
-        return audio.synthesize_dataset(synthesis_spec_from_config(cfg))
-    raise PipelineError("no manifest found and no synthesis parameters configured")
-
-
-def frame_config(cfg: dict, kind: str) -> features.FrameConfig:
-    feats = cfg["features"]
-    base = {"frame_len_ms": feats["frame_len_ms"],
-            "frame_shift_ms": feats["frame_shift_ms"],
-            "fft_size": feats["fft_size"]}
-    if kind == "cqt" and feats.get("cqt_frame"):
-        base.update(feats["cqt_frame"])
-    return features.FrameConfig(**base)
+    return audio.synthesize_dataset(synthesis_spec_from_config(cfg))
 
 
 def _build_banks(cfg: dict, sample_rate: float) -> dict:
@@ -123,7 +111,7 @@ def extract_segment(seg: audio.AudioSegment, kind: str, cfg: dict, banks: dict) 
     raise PipelineError(f"unknown feature kind {kind!r}")
 
 
-def cmd_extract(cfg: dict, out_dir, jobs: int = 1) -> dict:
+def cmd_extract(cfg: dict, out_dir) -> dict:
     """Segment all tracks and cache every configured feature kind."""
     out_dir = Path(out_dir)
     tracks = _load_tracks(cfg, out_dir)
@@ -131,6 +119,11 @@ def cmd_extract(cfg: dict, out_dir, jobs: int = 1) -> dict:
     segments, skipped = audio.segment_tracks(tracks, seg_cfg["segment_len"], seg_cfg["overlap"])
     if not segments:
         raise PipelineError("no segments produced; tracks shorter than segment_len?")
+    # One filter bank and one frequency axis serve every segment.
+    rates = {seg.sample_rate: seg.parent_track_id for seg in segments}
+    if len(rates) > 1:
+        raise PipelineError("tracks have mixed sample rates: " + ", ".join(
+            f"{rate} Hz (track {tid})" for rate, tid in sorted(rates.items())))
     sample_rate = segments[0].sample_rate
     kinds = list(cfg["features"]["kinds"])
     banks = _build_banks(cfg, sample_rate)
@@ -139,20 +132,12 @@ def cmd_extract(cfg: dict, out_dir, jobs: int = 1) -> dict:
         (feat_dir / kind).mkdir(parents=True, exist_ok=True)
 
     geometry: dict[str, dict] = {}
-
-    def process(seg: audio.AudioSegment) -> None:
+    for seg in segments:
         for kind in kinds:
             values = extract_segment(seg, kind, cfg, banks)
             geometry.setdefault(kind, {"n_frames": values.shape[0], "n_bins": values.shape[1]})
             features.write_feature_cache(
                 feat_dir / kind / f"{seg.segment_id}.iclf", values, kind, seg.label)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(process, segments))
-    else:
-        for seg in segments:
-            process(seg)
 
     labels = sorted({s.label for s in segments})
     index = {
@@ -184,7 +169,7 @@ def _read_index(cfg: dict, out_dir: Path, kinds: tuple[str, ...]) -> dict:
     index_path = out_dir / "features" / "index.json"
     if not index_path.exists():
         raise PipelineError(f"missing feature cache index {index_path}; run `icl extract` first")
-    index = json.loads(index_path.read_text())
+    index = read_json(index_path)
     for kind in kinds:
         if kind not in index["kinds"]:
             raise PipelineError(f"feature kind {kind!r} was not extracted (have {index['kinds']})")
@@ -202,13 +187,23 @@ def _read_index(cfg: dict, out_dir: Path, kinds: tuple[str, ...]) -> dict:
     return index
 
 
-def _read_row(out_dir: Path, kind: str, ref) -> np.ndarray:
-    """One segment's cached feature matrix, its label checked against the index."""
-    _, label, values = features.read_feature_cache(
-        out_dir / "features" / kind / f"{ref.segment_id}.iclf")
-    if label != ref.label:
-        raise PipelineError(f"label mismatch for {ref.segment_id} in {kind} cache")
-    return values
+def _read_rows(out_dir: Path, kind: str, refs) -> np.ndarray:
+    """The cached features of refs as one float64 stack, labels checked."""
+    rows = []
+    for ref in refs:
+        _, label, values = features.read_feature_cache(
+            out_dir / "features" / kind / f"{ref.segment_id}.iclf")
+        if label != ref.label:
+            raise PipelineError(f"label mismatch for {ref.segment_id} in {kind} cache")
+        rows.append(values)
+    return np.stack(rows).astype(np.float64)
+
+
+def _read_normalized(out_dir: Path, kinds: tuple[str, ...], refs,
+                     stats: dict[str, features.FeatureStats]) -> dict[str, np.ndarray]:
+    """Encoder input [n, 1, H, W] per kind for refs alone, normalized with stats."""
+    return {k: features.normalize_features(stats[k], _read_rows(out_dir, k, refs))[:, None]
+            for k in kinds}
 
 
 def load_dataset(cfg: dict, out_dir, kinds: tuple[str, ...],
@@ -227,8 +222,7 @@ def load_dataset(cfg: dict, out_dir, kinds: tuple[str, ...],
         segment_ids[split] = [r.segment_id for r in refs]
         labels[split] = np.array([r.label for r in refs], dtype=np.int64)
         for kind in kinds:
-            raw[kind][split] = np.stack(
-                [_read_row(out_dir, kind, r) for r in refs]).astype(np.float64)
+            raw[kind][split] = _read_rows(out_dir, kind, refs)
 
     if stats is None:
         stats = {k: features.compute_feature_stats(list(raw[k]["train"]), k) for k in kinds}
@@ -246,24 +240,10 @@ def default_run_name(cfg: dict) -> str:
     return f"{tr['mode']}-s{cfg['seed']}"
 
 
-def encoder_configs(cfg: dict, kinds: tuple[str, ...]) -> dict[str, model.EncoderConfig]:
-    enc = cfg["encoder"]
-    return {kind: model.EncoderConfig(
-        input_kind=kind,
-        stem_channels=enc["stem_channels"],
-        blocks_per_stage=tuple(enc["blocks_per_stage"]),
-        channel_widths=tuple(enc["channel_widths"]),
-        embedding_dim=enc["embedding_dim"]) for kind in kinds}
-
-
 def cmd_train(cfg: dict, out_dir, run_name: str | None = None) -> Path:
     """Train one run and write its artifacts under out/runs/<name>/."""
     out_dir = Path(out_dir)
-    tr = cfg["training"]
-    settings = training.TrainSettings(
-        mode=tr["mode"], epochs=tr["epochs"], batch_size=tr["batch_size"], lr=tr["lr"],
-        weight_decay=tr["weight_decay"], alpha=tr["alpha"], seed=cfg["seed"],
-        symmetric_icl=tr["symmetric_icl"])
+    settings = train_settings(cfg)
     kinds = settings.feature_kinds
     data, stats = load_dataset(cfg, out_dir, kinds)
     run_dir = out_dir / "runs" / (run_name or default_run_name(cfg))
@@ -286,28 +266,44 @@ def cmd_train(cfg: dict, out_dir, run_name: str | None = None) -> Path:
     return run_dir
 
 
+def _check_checkpoint(path: Path, params: dict[str, np.ndarray],
+                      enc_cfgs: dict[str, model.EncoderConfig], n_classes: int) -> None:
+    """Refuse a checkpoint whose names or shapes differ from the run's model."""
+    expected = {}
+    for kind, enc in enc_cfgs.items():
+        expected.update(model.encoder_param_shapes(enc, prefix=kind))
+    expected.update({"head/w": (n_classes, enc.embedding_dim), "head/b": (n_classes,)})
+    got = {name: p.shape for name, p in params.items()}
+    if got != expected:
+        name = min(n for n in expected.keys() | got.keys() if expected.get(n) != got.get(n))
+        raise PipelineError(f"checkpoint {path} does not match the run's model config: "
+                            f"{name} is {got.get(name)} there, {expected.get(name)} in the config")
+
+
 def _load_run(out_dir: Path, run_name: str):
     run_dir = Path(out_dir) / "runs" / run_name
     if not (run_dir / "checkpoint.iclc").exists():
         raise PipelineError(f"run {run_dir} has no checkpoint; train it first")
-    cfg = json.loads((run_dir / "resolved_config.json").read_text())
-    info = json.loads((run_dir / "run.json").read_text())
-    stats_doc = json.loads((run_dir / "stats.json").read_text())
-    stats = {k: features.FeatureStats(k, v["mean"], v["std"]) for k, v in stats_doc.items()}
+    cfg = read_json(run_dir / "resolved_config.json")
+    info = read_json(run_dir / "run.json")
+    stats = {k: features.FeatureStats(k, v["mean"], v["std"])
+             for k, v in read_json(run_dir / "stats.json").items()}
+    enc_cfgs = encoder_configs(cfg, tuple(info["feature_kinds"]))
     params = load_checkpoint(run_dir / "checkpoint.iclc")
-    return run_dir, cfg, info, stats, params
+    _check_checkpoint(run_dir / "checkpoint.iclc", params, enc_cfgs, info["n_classes"])
+    return run_dir, cfg, info, enc_cfgs, stats, params
 
 
 def cmd_eval(out_dir, run_name: str) -> dict:
     """Test-split metrics for a trained run: accuracy, confusion, per-sample probs."""
     out_dir = Path(out_dir)
-    run_dir, cfg, info, stats, params = _load_run(out_dir, run_name)
-    kinds = tuple(info["feature_kinds"])
-    data, _ = load_dataset(cfg, out_dir, kinds, stats=stats)
-    probs = training.predict_proba(params, encoder_configs(cfg, kinds), kinds,
-                                   {k: data.features[k]["test"] for k in kinds})
+    run_dir, cfg, info, enc_cfgs, stats, params = _load_run(out_dir, run_name)
+    kinds = tuple(enc_cfgs)
+    refs = _split_index(cfg, _read_index(cfg, out_dir, kinds)).test
+    probs = training.predict_proba(params, enc_cfgs, kinds,
+                                   _read_normalized(out_dir, kinds, refs, stats))
     preds = np.argmax(probs, axis=1)
-    y = data.labels["test"]
+    y = np.array([r.label for r in refs], dtype=np.int64)
     acc = metrics.accuracy(preds, y)
     cm = metrics.confusion(preds, y, info["n_classes"])
     reporting.export_confusion(cm, run_dir / "confusion")
@@ -315,9 +311,9 @@ def cmd_eval(out_dir, run_name: str) -> dict:
         "accuracy": acc,
         "n_test": int(y.size),
         "confusion": cm.counts.tolist(),
-        "samples": [{"segment_id": sid, "label": int(lab), "pred": int(pred),
+        "samples": [{"segment_id": r.segment_id, "label": int(lab), "pred": int(pred),
                      "probs": [float(p) for p in row]}
-                    for sid, lab, pred, row in zip(data.segment_ids["test"], y, preds, probs)],
+                    for r, lab, pred, row in zip(refs, y, preds, probs)],
     }
     (run_dir / "eval.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return doc
@@ -327,12 +323,11 @@ def cmd_cam(out_dir, run_name: str, split: str = "test", index: int = 0,
             class_index: int | None = None, segment_id: str | None = None) -> list[Path]:
     """Export per-encoder class activation maps for one cached segment.
 
-    Reads only that segment's cache file per kind, normalized with the
-    run's training statistics exactly as ``load_dataset`` would.
+    Reads only that segment's cache file per kind.
     """
     out_dir = Path(out_dir)
-    run_dir, cfg, info, stats, params = _load_run(out_dir, run_name)
-    kinds = tuple(info["feature_kinds"])
+    run_dir, cfg, info, enc_cfgs, stats, params = _load_run(out_dir, run_name)
+    kinds = tuple(enc_cfgs)
     refs = getattr(_split_index(cfg, _read_index(cfg, out_dir, kinds)), split)
     ids = [r.segment_id for r in refs]
     if segment_id is not None:
@@ -343,10 +338,8 @@ def cmd_cam(out_dir, run_name: str, split: str = "test", index: int = 0,
         raise PipelineError(f"sample index {index} out of range for split {split!r} ({len(ids)})")
     sid = ids[index]
 
-    enc_cfgs = encoder_configs(cfg, kinds)
     tensors = {n: training.Tensor(p) for n, p in params.items()}
-    batch = {k: features.normalize_features(
-        stats[k], _read_row(out_dir, k, refs[index]))[None, None] for k in kinds}
+    batch = _read_normalized(out_dir, kinds, refs[index: index + 1], stats)
     logits, outputs = training._forward(tensors, enc_cfgs, kinds, batch)
     target = int(np.argmax(logits.data[0])) if class_index is None else class_index
 

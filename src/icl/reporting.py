@@ -13,11 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import IclError, read_json
 from .losses import ensemble_predict
 from .metrics import ConfusionMatrix
 
 
-class ReportError(Exception):
+class ReportError(IclError):
     pass
 
 
@@ -68,36 +69,30 @@ METHOD_BY_MODE = {"icl": "contrastive", "mel": "baseline", "cqt": "baseline",
 FEATURES_BY_MODE = {"icl": "mel+cqt", "mel": "mel", "cqt": "cqt", "stft": "stft"}
 
 
-def collect_run_rows(run_dirs: list[Path]) -> list[dict]:
-    """Per-run rows (method, features, seed, accuracy) from eval artifacts."""
-    rows = []
-    for run_dir in run_dirs:
-        eval_path = Path(run_dir) / "eval.json"
-        cfg_path = Path(run_dir) / "run.json"
-        if not eval_path.exists() or not cfg_path.exists():
+def _read_runs(run_dirs: list[Path]) -> list[tuple[str, dict, dict]]:
+    """(name, run.json, eval.json) of each evaluated run."""
+    runs = []
+    for run_dir in map(Path, run_dirs):
+        if not (run_dir / "eval.json").exists() or not (run_dir / "run.json").exists():
             raise ReportError(f"run {run_dir} is missing eval.json or run.json; "
                               "run `icl eval` on it first")
-        ev = json.loads(eval_path.read_text())
-        info = json.loads(cfg_path.read_text())
-        mode = info["mode"]
-        rows.append({
-            "method": METHOD_BY_MODE[mode],
-            "features": FEATURES_BY_MODE[mode],
-            "seed": info["seed"],
-            "alpha": info.get("alpha", 0.0),
-            "accuracy": ev["accuracy"],
-            "run": Path(run_dir).name,
-        })
-    return rows
+        runs.append((run_dir.name, read_json(run_dir / "run.json"),
+                     read_json(run_dir / "eval.json")))
+    return runs
 
 
-def ensemble_rows(run_dirs: list[Path]) -> list[dict]:
+def collect_run_rows(runs: list[tuple[str, dict, dict]]) -> list[dict]:
+    """Per-run rows (method, features, seed, accuracy) from eval artifacts."""
+    return [{"method": METHOD_BY_MODE[info["mode"]], "features": FEATURES_BY_MODE[info["mode"]],
+             "seed": info["seed"], "alpha": info.get("alpha", 0.0),
+             "accuracy": ev["accuracy"], "run": name} for name, info, ev in runs]
+
+
+def ensemble_rows(runs: list[tuple[str, dict, dict]]) -> list[dict]:
     """Decision-level ensemble of same-seed mel/cqt baseline runs."""
     by_seed: dict[int, dict[str, dict]] = {}
-    for run_dir in run_dirs:
-        info = json.loads((Path(run_dir) / "run.json").read_text())
+    for _, info, ev in runs:
         if info["mode"] in ("mel", "cqt"):
-            ev = json.loads((Path(run_dir) / "eval.json").read_text())
             by_seed.setdefault(info["seed"], {})[info["mode"]] = ev
     rows = []
     for seed in sorted(by_seed):
@@ -127,7 +122,8 @@ def export_report(run_dirs: list[Path], out_dir) -> dict:
     """Write results.csv / results.json across runs, with ensemble rows."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = collect_run_rows(run_dirs) + ensemble_rows(run_dirs)
+    runs = _read_runs(run_dirs)
+    rows = collect_run_rows(runs) + ensemble_rows(runs)
     rows.sort(key=lambda r: (_ROW_ORDER.get((r["method"], r["features"]), 99),
                              r["alpha"], r["seed"]))
 

@@ -18,13 +18,14 @@ import numpy as np
 from . import autodiff as ad
 from . import losses, model
 from .autodiff import Tensor
+from .errors import IclError
 from .optim import AdamW, NonFiniteGradientError
 
 MODE_ICL = "icl"
 BASELINE_MODES = ("mel", "cqt", "stft")
 
 
-class TrainingError(Exception):
+class TrainingError(IclError):
     pass
 
 
@@ -41,13 +42,19 @@ class TrainSettings:
 
     def __post_init__(self):
         if self.mode not in (MODE_ICL,) + BASELINE_MODES:
-            raise TrainingError(f"unknown training mode {self.mode!r}")
-        if self.mode == MODE_ICL and self.batch_size < 2:
-            raise TrainingError("contrastive mode needs batch_size >= 2")
+            raise TrainingError(f"mode must be icl|mel|cqt|stft, got {self.mode!r}")
+        least = 2 if self.mode == MODE_ICL else 1
+        if self.batch_size < least:
+            raise TrainingError(f"batch_size must be >= {least} in {self.mode} mode, "
+                                f"got {self.batch_size}")
         if self.alpha < 0:
             raise TrainingError(f"alpha must be nonnegative, got {self.alpha}")
         if self.epochs < 1:
-            raise TrainingError("epochs must be >= 1")
+            raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
+        if not self.lr > 0:
+            raise TrainingError(f"lr must be positive, got {self.lr}")
+        if self.weight_decay < 0:
+            raise TrainingError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
     @property
     def feature_kinds(self) -> tuple[str, ...]:

@@ -14,8 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import IclError
 
-class WavError(Exception):
+
+class WavError(IclError):
     pass
 
 
@@ -30,8 +32,6 @@ class WavEmptyError(WavError):
 def read_wav(path) -> tuple[np.ndarray, int]:
     """Read a WAV file as (float64 samples [n, channels], sample_rate)."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"WAV file not found: {path}")
     buf = path.read_bytes()
     if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
         raise WavFormatError(f"{path} is not a RIFF/WAVE file")

@@ -100,7 +100,7 @@ def test_cli_full_pipeline(tmp_path):
     assert len(manifest["tracks"]) == 12
     assert (out / "wavs").exists()
 
-    assert main(["extract", *micro_args(out), "--jobs", "2"]) == 0
+    assert main(["extract", *micro_args(out)]) == 0
     index = json.loads((out / "features" / "index.json").read_text())
     assert len(index["segments"]) == 12 * 7
     assert sorted(index["kinds"]) == ["cqt", "mel", "stft"]

@@ -1,13 +1,14 @@
 """Pipeline stages against their feature cache: cam reads, stale and damaged caches."""
 
 import json
+import re
 import shutil
 
 import numpy as np
 import pytest
 
 from conftest import MICRO_OVERRIDES, micro_config
-from icl import features, model, pipeline, training
+from icl import audio, features, model, pipeline, training, wavio
 from icl.cli import main
 from icl.config import resolve_config
 
@@ -93,3 +94,95 @@ def test_cache_index_without_config_is_refused(micro_run, tmp_path):
     path.write_text(json.dumps(index))
     with pytest.raises(pipeline.PipelineError, match="re-run `icl extract`"):
         pipeline.load_dataset(micro_run[2], out, ("mel",))
+
+
+def test_eval_reads_only_the_test_rows(micro_run, monkeypatch):
+    out, run_name, cfg = micro_run
+    kinds = ("mel", "cqt")
+    read = features.read_feature_cache
+    calls = []
+    monkeypatch.setattr(features, "read_feature_cache",
+                        lambda path: calls.append(path) or read(path))
+    doc = pipeline.cmd_eval(out, run_name)
+    monkeypatch.undo()
+    assert len(calls) == doc["n_test"] * len(kinds)
+
+    # Scored exactly as on rows of the whole normalized dataset.
+    run_dir = out / "runs" / run_name
+    stats = {k: features.FeatureStats(k, v["mean"], v["std"])
+             for k, v in json.loads((run_dir / "stats.json").read_text()).items()}
+    data, _ = pipeline.load_dataset(cfg, out, kinds, stats=stats)
+    probs = training.predict_proba(pipeline.load_checkpoint(run_dir / "checkpoint.iclc"),
+                                   pipeline.encoder_configs(cfg, kinds), kinds,
+                                   {k: data.features[k]["test"] for k in kinds})
+    assert [s["segment_id"] for s in doc["samples"]] == data.segment_ids["test"]
+    assert [s["label"] for s in doc["samples"]] == data.labels["test"].tolist()
+    assert [s["probs"] for s in doc["samples"]] == probs.tolist()
+
+
+def _one_error_line(capsys, argv: list[str]) -> str:
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
+    return err
+
+
+def _micro_args(*extra: str) -> list[str]:
+    args = []
+    for item in [*MICRO_OVERRIDES, *extra]:
+        args += ["--set", item]
+    return args
+
+
+@pytest.mark.parametrize("victim, content, command", [
+    ("runs/{run}/run.json", "{not json", "eval"),
+    ("features/index.json", '{"kinds": [', "eval"),
+    ("runs/{run}/checkpoint.iclc", "ICLC\x01", "eval"),
+    ("manifest.json", "tracks: none", "extract"),
+    ("manifest.json", '{"tracks": 3}', "extract"),
+])
+def test_damaged_artifact_ends_in_one_error_line(micro_run, tmp_path, capsys,
+                                                 victim, content, command):
+    out = tmp_path / "out"
+    shutil.copytree(micro_run[0], out)
+    path = out / victim.format(run=micro_run[1])
+    path.write_text(content)
+    if command == "eval":
+        argv = ["eval", "--out", str(out), "--run", micro_run[1]]
+    else:
+        argv = ["extract", "--out", str(out), *_micro_args(f"dataset.manifest={path}")]
+    assert path.name in _one_error_line(capsys, argv)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("blocks_per_stage", [2, 1]),   # a block the checkpoint does not have
+    ("stem_channels", 6),           # same names, other shapes
+])
+def test_checkpoint_config_mismatch_is_refused(micro_run, tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    shutil.copytree(micro_run[0], out)
+    path = out / "runs" / micro_run[1] / "resolved_config.json"
+    cfg = json.loads(path.read_text())
+    cfg["encoder"][key] = value
+    path.write_text(json.dumps(cfg))
+    err = _one_error_line(capsys, ["eval", "--out", str(out), "--run", micro_run[1]])
+    assert "checkpoint" in err and "does not match" in err
+
+
+def test_output_below_a_file_ends_in_one_error_line(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    _one_error_line(capsys, ["synth", "--out", str(tmp_path / "file" / "sub"), *_micro_args()])
+
+
+def test_mixed_sample_rates_are_refused_at_extract(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    entries = []
+    for i, rate in enumerate([1000, 1200] * 6):
+        rel = f"t{i}.wav"
+        wavio.write_wav(tmp_path / rel, 0.1 * rng.standard_normal(3 * rate), rate)
+        entries.append({"track_id": f"t{i}", "path": rel, "label": i % 3})
+    audio.write_manifest(tmp_path / "manifest.json", entries)
+    err = _one_error_line(capsys, [
+        "extract", "--out", str(tmp_path / "out"),
+        *_micro_args(f"dataset.manifest={tmp_path / 'manifest.json'}")])
+    assert re.search(r"1000 Hz \(track t\d+\), 1200 Hz \(track t\d+\)", err)
