@@ -19,11 +19,12 @@ buffers it holds are freed when the op returns. Inference is therefore
 graph-free by construction: wrap parameter arrays in fresh Tensors
 without ``requires_grad``. There is no separate no-grad mode.
 
-Convolutions with kernels larger than 1x1 unroll the input channels-last
+Convolutions of every kernel size unroll the input channels-last
 (im2col, Chellapilla et al. 2006): the column matrix is
 ``[N*OH*OW, kh*kw*C]`` gathered from an NHWC copy of the padded input,
-so every copy moves contiguous rows of channels; the NCHW layout of the
-public API is converted once on the way in and once on the way out.
+so every copy moves contiguous rows of channels (a convolution with no
+border to pad gathers from an NHWC view instead); the NCHW layout of
+the public API is converted once on the way in and once on the way out.
 """
 
 from __future__ import annotations
@@ -265,32 +266,6 @@ def _conv_geometry(h: int, w: int, kh: int, kw: int, sh: int, sw: int, padding: 
     return oh, ow, (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2)
 
 
-def _conv2d_1x1(x: Tensor, w: Tensor, b: Tensor | None, sh: int, sw: int) -> Tensor:
-    """Pointwise convolution as a channel matmul (projection shortcuts)."""
-    n, c, h, wid = x.data.shape
-    f = w.data.shape[0]
-    xs = x.data[:, :, ::sh, ::sw]
-    oh, ow = xs.shape[2], xs.shape[3]
-    w2 = w.data.reshape(f, c)
-    out = np.ascontiguousarray(np.tensordot(xs, w2, axes=([1], [1])).transpose(0, 3, 1, 2))
-    if b is not None:
-        out += b.data[None, :, None, None]
-
-    def back(g: np.ndarray):
-        dx = None
-        if _needs_grad(x):
-            dxs = np.tensordot(g, w2, axes=([1], [0])).transpose(0, 3, 1, 2)
-            dx = np.zeros_like(x.data)
-            dx[:, :, ::sh, ::sw] = dxs
-        dw = np.einsum("nfhw,nchw->fc", g, xs).reshape(f, c, 1, 1) if _needs_grad(w) else None
-        if b is not None:
-            return dx, dw, g.sum(axis=(0, 2, 3))
-        return dx, dw
-
-    parents = (x, w) if b is None else (x, w, b)
-    return _node(out, "conv2d", parents, back)
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride: int | tuple[int, int] = 1, padding: str = "same") -> Tensor:
     """2-D convolution (cross-correlation), NCHW layout, via im2col.
@@ -301,8 +276,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     row of C channels, and the weights are read as ``(F, kh, kw, C)`` to
     match. Backward computes dW as ``g2.T @ cols`` and, for dx, adds
     ``g2 @ W[:, i, j]`` one kernel tap at a time into a padded NHWC
-    buffer that is transposed back to NCHW once. Kernels of 1x1 with
-    ``same`` padding take the pointwise path instead.
+    buffer that is transposed back to NCHW once. Every kernel size,
+    1x1 included, takes this one path.
     """
     _require(x.data.ndim == 4, "conv2d", f"expected NCHW input, got {x.data.shape}")
     _require(w.data.ndim == 4, "conv2d", f"expected FCKK weights, got {w.data.shape}")
@@ -312,13 +287,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     if b is not None:
         _require(b.data.shape == (f,), "conv2d", f"bias {b.data.shape} vs weight {w.data.shape}")
     sh, sw = (stride, stride) if isinstance(stride, int) else stride
-    if kh == kw == 1 and padding == "same":
-        return _conv2d_1x1(x, w, b, sh, sw)
     oh, ow, (pt, pb), (pl, pr) = _conv_geometry(h, wid, kh, kw, sh, sw, padding)
 
     padded_shape = (n, h + pt + pb, wid + pl + pr, c)
-    xp = np.zeros(padded_shape, dtype=x.data.dtype)
-    xp[:, pt: pt + h, pl: pl + wid] = x.data.transpose(0, 2, 3, 1)
+    # Without a border to pad, gather from an NHWC view: a strided 1x1
+    # projection then copies only the pixels it reads, not the whole input.
+    xp = x.data.transpose(0, 2, 3, 1)
+    if xp.shape != padded_shape:
+        xp = np.zeros(padded_shape, dtype=x.data.dtype)
+        xp[:, pt: pt + h, pl: pl + wid] = x.data.transpose(0, 2, 3, 1)
     # [N, OH, OW, C, kh, kw] -> [N*OH*OW, kh*kw*C]: one gather whose
     # innermost run is a contiguous row of C channels.
     win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]

@@ -1,7 +1,8 @@
 """Run configuration: defaults, presets, file/flag overlays, validation.
 
 A run is described by one JSON document. Flags may override any leaf
-through dotted paths (``training.alpha=2``), and every command writes
+through dotted paths (``training.alpha=2``); a key the defaults do not
+have is refused rather than ignored. Every command writes
 the fully resolved document next to its outputs so a run can be
 reproduced from that file alone. The typed settings built here from the
 document check their own fields.
@@ -10,6 +11,7 @@ document check their own fields.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import os
 from contextlib import contextmanager
@@ -38,8 +40,6 @@ DEFAULT_CONFIG: dict = {
         "kinds": ["mel", "cqt"],
         "mel": {"n_filters": 300},
         "cqt": {"bins_per_octave": 36, "f_min": 50.0, "f_max": None},
-        # Optional framing override for CQT only, e.g. {"frame_shift_ms": 33.4}.
-        "cqt_frame": None,
     },
     "encoder": {
         "stem_channels": 128,
@@ -54,7 +54,6 @@ DEFAULT_CONFIG: dict = {
         "lr": 5e-4,
         "weight_decay": 1e-5,
         "alpha": 0.5,
-        "symmetric_icl": False,
     },
 }
 
@@ -153,6 +152,8 @@ def _block(name: str):
     settings start each message with the field name: block + message is a dotted path."""
     try:
         yield
+    except ConfigError:
+        raise
     except IclError as exc:
         raise ConfigError(f"{name}.{exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
@@ -164,8 +165,7 @@ def train_settings(cfg: dict) -> training.TrainSettings:
         tr = cfg["training"]
         return training.TrainSettings(
             mode=tr["mode"], epochs=tr["epochs"], batch_size=tr["batch_size"], lr=tr["lr"],
-            weight_decay=tr["weight_decay"], alpha=tr["alpha"], seed=cfg["seed"],
-            symmetric_icl=tr["symmetric_icl"])
+            weight_decay=tr["weight_decay"], alpha=tr["alpha"], seed=cfg["seed"])
 
 
 def encoder_configs(cfg: dict, kinds: tuple[str, ...]) -> dict[str, model.EncoderConfig]:
@@ -179,13 +179,12 @@ def encoder_configs(cfg: dict, kinds: tuple[str, ...]) -> dict[str, model.Encode
             embedding_dim=enc["embedding_dim"]) for kind in kinds}
 
 
-def frame_config(cfg: dict, kind: str) -> features.FrameConfig:
-    feats = cfg["features"]
-    override = feats.get("cqt_frame") if kind == "cqt" else None
-    with _block("features.cqt_frame" if override else "features"):
-        return features.FrameConfig(**{"frame_len_ms": feats["frame_len_ms"],
-                                       "frame_shift_ms": feats["frame_shift_ms"],
-                                       "fft_size": feats["fft_size"], **(override or {})})
+def frame_config(cfg: dict) -> features.FrameConfig:
+    with _block("features"):
+        feats = cfg["features"]
+        return features.FrameConfig(frame_len_ms=feats["frame_len_ms"],
+                                    frame_shift_ms=feats["frame_shift_ms"],
+                                    fft_size=feats["fft_size"])
 
 
 def _check(cond: bool, field: str, message: str) -> None:
@@ -193,10 +192,20 @@ def _check(cond: bool, field: str, message: str) -> None:
         raise ConfigError(f"{field}: {message}")
 
 
+def _check_known(doc: dict, known: dict, prefix: str = "") -> None:
+    """Refuse any key the defaults do not have; a key nobody reads is a typo."""
+    for key, value in doc.items():
+        _check(key in known, f"{prefix}{key}", "unknown config key")
+        if isinstance(value, dict) and isinstance(known[key], dict):
+            _check_known(value, known[key], f"{prefix}{key}.")
+
+
 def validate_config(cfg: dict) -> None:
     """Build the typed settings, then check the facts only this document holds."""
+    _check_known(cfg, DEFAULT_CONFIG)
     mode = train_settings(cfg).mode
     encoder_configs(cfg, ("mel",))
+    frame_config(cfg)
     # Segmentation and the split check their own parameters; on no input
     # they do nothing else.
     with _block("segmentation"):
@@ -204,23 +213,29 @@ def validate_config(cfg: dict) -> None:
     with _block("split"):
         audio.split_track_disjoint([], tuple(cfg["split"]["ratios"]))
 
-    feats = cfg["features"]
-    _check(all(k in features.KINDS for k in feats["kinds"]), "features.kinds",
-           f"entries must be stft|mel|cqt, got {feats['kinds']}")
-    for kind in ("mel", "cqt") if mode == training.MODE_ICL else (mode,):
-        _check(kind in feats["kinds"], "features.kinds",
-               f"mode {mode!r} needs {kind!r} in extracted kinds {feats['kinds']}")
-    for kind in feats["kinds"]:
-        frame_config(cfg, kind)
-    _check(feats["mel"]["n_filters"] >= 1, "features.mel.n_filters", "must be >= 1")
-    _check(feats["cqt"]["bins_per_octave"] >= 1, "features.cqt.bins_per_octave", "must be >= 1")
+    with _block("features"):
+        feats = cfg["features"]
+        _check(all(k in features.KINDS for k in feats["kinds"]), "features.kinds",
+               f"entries must be stft|mel|cqt, got {feats['kinds']}")
+        for kind in ("mel", "cqt") if mode == training.MODE_ICL else (mode,):
+            _check(kind in feats["kinds"], "features.kinds",
+                   f"mode {mode!r} needs {kind!r} in extracted kinds {feats['kinds']}")
+        _check(feats["mel"]["n_filters"] >= 1, "features.mel.n_filters", "must be >= 1")
+        _check(feats["cqt"]["bins_per_octave"] >= 1, "features.cqt.bins_per_octave",
+               "must be >= 1")
 
-    ds = cfg["dataset"]
-    _check(ds["manifest"] is not None or ds["synthesis"] is not None, "dataset",
-           "need either a manifest path or synthesis parameters")
-    if ds["manifest"] is not None:
-        _check(Path(ds["manifest"]).exists(), "dataset.manifest",
-               f"file not found: {ds['manifest']}")
+    with _block("dataset"):
+        ds = cfg["dataset"]
+        _check(ds["manifest"] is not None or ds["synthesis"] is not None, "dataset",
+               "need either a manifest path or synthesis parameters")
+        if ds["synthesis"] is not None:
+            _check(isinstance(ds["synthesis"], dict), "dataset.synthesis", "must be an object")
+            spec_keys = {f.name for f in dataclasses.fields(audio.SynthesisSpec)} - {"seed"}
+            for key in ds["synthesis"]:
+                _check(key in spec_keys, f"dataset.synthesis.{key}", "unknown config key")
+        if ds["manifest"] is not None:
+            _check(Path(ds["manifest"]).exists(), "dataset.manifest",
+                   f"file not found: {ds['manifest']}")
 
 
 def save_config(cfg: dict, path) -> None:

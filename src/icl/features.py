@@ -83,7 +83,6 @@ class Spectrogram:
 
     kind: str
     values: np.ndarray
-    frame_times: np.ndarray
     bin_freqs: np.ndarray
 
     def __post_init__(self):
@@ -111,9 +110,7 @@ def _frames(samples: np.ndarray, sample_rate: float, cfg: FrameConfig):
     frame = cfg.frame_samples(sample_rate)
     shift = cfg.shift_samples(sample_rate)
     n = frame_count(x.size, frame, shift)
-    windows = sliding_window_view(x, frame)[::shift][:n]
-    times = (np.arange(n) * shift + frame / 2.0) / sample_rate
-    return windows * hann(frame), times
+    return sliding_window_view(x, frame)[::shift][:n] * hann(frame)
 
 
 def _resolve_input(segment, sample_rate):
@@ -132,11 +129,11 @@ def _resolve_input(segment, sample_rate):
 def stft(segment, cfg: FrameConfig = FrameConfig(), sample_rate: float | None = None) -> Spectrogram:
     """One-sided magnitude spectrogram of Hann-windowed frames."""
     samples, sr = _resolve_input(segment, sample_rate)
-    windowed, times = _frames(samples, sr, cfg)
+    windowed = _frames(samples, sr, cfg)
     nfft = cfg.resolve_fft_size(sr)
     mags = np.abs(np.fft.rfft(windowed, n=nfft, axis=1))
     freqs = np.fft.rfftfreq(nfft, d=1.0 / sr)
-    return Spectrogram(KIND_STFT, mags, times, freqs)
+    return Spectrogram(KIND_STFT, mags, freqs)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +159,6 @@ def mel_to_hz(m):
 class MelFilterBank:
     """Triangular filters uniform on the Mel axis, each row peaking at 1."""
 
-    n_filters: int
     weights: np.ndarray  # [n_filters, n_fft_bins]
     center_freqs: np.ndarray
     sample_rate: float
@@ -195,7 +191,7 @@ def build_mel_filterbank(n_filters: int, cfg: FrameConfig, sample_rate: float,
         raise FeatureError(
             f"mel filter {dead} covers no FFT bin; increase fft_size or reduce n_filters")
     weights /= peaks[:, None]
-    return MelFilterBank(n_filters, weights, centers, sample_rate, nfft)
+    return MelFilterBank(weights, centers, sample_rate, nfft)
 
 
 def mel_spectrogram(segment, cfg: FrameConfig = FrameConfig(), n_filters: int = 300,
@@ -207,11 +203,11 @@ def mel_spectrogram(segment, cfg: FrameConfig = FrameConfig(), n_filters: int = 
         bank = build_mel_filterbank(n_filters, cfg, sr)
     elif bank.sample_rate != sr or bank.fft_size != cfg.resolve_fft_size(sr):
         raise FeatureError("mel filterbank was built for a different sample rate or FFT size")
-    windowed, times = _frames(samples, sr, cfg)
+    windowed = _frames(samples, sr, cfg)
     spectrum = np.abs(np.fft.rfft(windowed, n=bank.fft_size, axis=1))
     power = np.square(spectrum)
     values = np.log10(power @ bank.weights.T + LOG_FLOOR)
-    return Spectrogram(KIND_MEL, values, times, bank.center_freqs.copy())
+    return Spectrogram(KIND_MEL, values, bank.center_freqs.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +232,7 @@ def cqt_frequencies(f_min: float, f_max: float, bins_per_octave: int) -> np.ndar
 class CqtKernelBank:
     """Spectral-domain CQT kernels for one (sample_rate, fft_size) pair."""
 
-    bins_per_octave: int
-    f_min: float
-    f_max: float
     center_freqs: np.ndarray
-    q_factor: float
     kernels: np.ndarray  # complex [n_bins, fft_size]
     sample_rate: float
     fft_size: int
@@ -265,8 +257,7 @@ def build_cqt_kernels(cfg: FrameConfig, sample_rate: float, f_min: float = 50.0,
         kern = hann(n_k) * np.exp(2j * np.pi * fk * t)
         kern /= np.abs(kern).sum()
         kernels[k, :n_k] = kern
-    return CqtKernelBank(bins_per_octave, f_min, float(f_max), freqs, q,
-                         np.fft.fft(kernels, axis=1), sample_rate, nfft, lengths)
+    return CqtKernelBank(freqs, np.fft.fft(kernels, axis=1), sample_rate, nfft, lengths)
 
 
 def cqt_spectrogram(segment, cfg: FrameConfig = FrameConfig(),
@@ -283,10 +274,10 @@ def cqt_spectrogram(segment, cfg: FrameConfig = FrameConfig(),
         kernels = build_cqt_kernels(cfg, sr, **kernel_kwargs)
     elif kernels.sample_rate != sr or kernels.fft_size != cfg.resolve_fft_size(sr):
         raise FeatureError("CQT kernel bank was built for a different sample rate or FFT size")
-    windowed, times = _frames(samples, sr, cfg)
+    windowed = _frames(samples, sr, cfg)
     spectra = np.fft.fft(windowed, n=kernels.fft_size, axis=1)
     values = np.abs(spectra @ kernels.kernels.conj().T) / kernels.fft_size
-    return Spectrogram(KIND_CQT, values, times, kernels.center_freqs.copy())
+    return Spectrogram(KIND_CQT, values, kernels.center_freqs.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -303,24 +294,16 @@ class FeatureStats:
 
 
 def compute_feature_stats(arrays, kind: str) -> FeatureStats:
-    """Stats over a list of spectrogram value arrays (training split only)."""
-    values = [a.values if isinstance(a, Spectrogram) else np.asarray(a) for a in arrays]
-    if not values:
+    """Stats over a list of feature arrays (training split only)."""
+    if len(arrays) == 0:
         raise FeatureError("cannot compute feature stats from an empty set")
-    flat = np.concatenate([v.reshape(-1).astype(np.float64) for v in values])
+    flat = np.concatenate([np.asarray(a, dtype=np.float64).reshape(-1) for a in arrays])
     return FeatureStats(kind, float(flat.mean()), max(float(flat.std()), 1e-8))
 
 
-def normalize_features(stats: FeatureStats, spectrogram):
-    """(x - mean)/std with train-split statistics; kind must match."""
-    if isinstance(spectrogram, Spectrogram):
-        if spectrogram.kind != stats.kind:
-            raise FeatureError(
-                f"stats for kind {stats.kind!r} applied to {spectrogram.kind!r} spectrogram")
-        values = (spectrogram.values - stats.mean) / stats.std
-        return Spectrogram(spectrogram.kind, values,
-                           spectrogram.frame_times.copy(), spectrogram.bin_freqs.copy())
-    return (np.asarray(spectrogram, dtype=np.float64) - stats.mean) / stats.std
+def normalize_features(stats: FeatureStats, values) -> np.ndarray:
+    """(x - mean)/std with train-split statistics."""
+    return (np.asarray(values, dtype=np.float64) - stats.mean) / stats.std
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,8 @@ encoder against the batch from the second: the cosine similarity matrix
 between the two (rows from encoder 1, columns from encoder 2) should
 look like the identity, i.e. the two views of the same sample agree and
 views of different samples do not. That target is scored with row-wise
-softmax cross-entropy against the diagonal; a symmetric variant that
-averages the row-wise and column-wise losses is available behind a
-flag. The classification and contrastive terms combine as
-total = ce + alpha * contrastive.
+softmax cross-entropy against the diagonal. The classification and
+contrastive terms combine as total = ce + alpha * contrastive.
 """
 
 from __future__ import annotations
@@ -28,14 +26,6 @@ class LossBreakdown:
     alpha: float
     total: float
 
-    def __post_init__(self):
-        for name in ("ce", "icl", "total"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"loss component {name}={v} must be finite and nonnegative")
-        if self.alpha < 0:
-            raise ValueError(f"alpha {self.alpha} must be nonnegative")
-
 
 def cosine_similarity_matrix(e1: Tensor, e2: Tensor) -> Tensor:
     """M[i,j] = <e1_i, e2_j> / (|e1_i| |e2_j|), differentiable end-to-end."""
@@ -45,25 +35,17 @@ def cosine_similarity_matrix(e1: Tensor, e2: Tensor) -> Tensor:
     return ad.matmul(ad.l2_normalize(e1), ad.l2_normalize(e2), transpose_b=True)
 
 
-def icl_loss(m: Tensor, symmetric: bool = False) -> Tensor:
-    """Cross-entropy between a similarity matrix and the identity target.
-
-    Row-wise: each row i should put its softmax mass on column i. The
-    symmetric mode averages the row-wise and column-wise readings.
-    """
+def icl_loss(m: Tensor) -> Tensor:
+    """Cross-entropy between a similarity matrix and the identity target:
+    each row i should put its softmax mass on column i."""
     n, cols = m.data.shape if m.data.ndim == 2 else (0, -1)
     if n != cols or n == 0:
         raise ad.ShapeMismatchError(f"icl_loss requires a square matrix, got {m.data.shape}")
-    targets = np.arange(n)
-    row_loss = ad.softmax_cross_entropy(m, targets)
-    if not symmetric:
-        return row_loss
-    col_loss = ad.softmax_cross_entropy(ad.transpose(m), targets)
-    return ad.weighted_sum(row_loss, 0.5, col_loss, 0.5)
+    return ad.softmax_cross_entropy(m, np.arange(n))
 
 
 def combined_loss(logits: Tensor, labels: np.ndarray, m: Tensor | None,
-                  alpha: float, symmetric: bool = False) -> tuple[Tensor, LossBreakdown]:
+                  alpha: float) -> tuple[Tensor, LossBreakdown]:
     """total = CE(logits, labels) + alpha * CE(M, I); returns (node, breakdown).
 
     With alpha = 0 the contrastive branch is not entered at all, so the
@@ -74,7 +56,7 @@ def combined_loss(logits: Tensor, labels: np.ndarray, m: Tensor | None,
     ce = ad.softmax_cross_entropy(logits, labels)
     if alpha == 0 or m is None:
         return ce, LossBreakdown(float(ce.data), 0.0, float(alpha), float(ce.data))
-    icl = icl_loss(m, symmetric=symmetric)
+    icl = icl_loss(m)
     total = ad.weighted_sum(ce, 1.0, icl, alpha)
     return total, LossBreakdown(float(ce.data), float(icl.data), float(alpha), float(total.data))
 

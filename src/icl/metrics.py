@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ class ConfusionMatrix:
     """Integer counts, rows = true labels, columns = predicted labels."""
 
     counts: np.ndarray
-    class_names: list[str] = field(default_factory=list)
 
     @property
     def total(self) -> int:
@@ -42,8 +41,7 @@ def accuracy(predictions, labels) -> float:
     return float(np.mean(preds == labs))
 
 
-def confusion(predictions, labels, n_classes: int,
-              class_names: list[str] | None = None) -> ConfusionMatrix:
+def confusion(predictions, labels, n_classes: int) -> ConfusionMatrix:
     preds = np.asarray(predictions, dtype=np.int64)
     labs = np.asarray(labels, dtype=np.int64)
     if preds.size == 0 or preds.shape != labs.shape:
@@ -52,5 +50,4 @@ def confusion(predictions, labels, n_classes: int,
         raise MetricsError(f"labels/predictions outside [0, {n_classes})")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (labs, preds), 1)
-    names = class_names if class_names is not None else [str(i) for i in range(n_classes)]
-    return ConfusionMatrix(counts=counts, class_names=names)
+    return ConfusionMatrix(counts=counts)

@@ -90,24 +90,26 @@ def _load_tracks(cfg: dict, out_dir: Path) -> list[audio.AudioTrack]:
 def _build_banks(cfg: dict, sample_rate: float) -> dict:
     banks = {}
     kinds = cfg["features"]["kinds"]
+    frame = frame_config(cfg)
     if "mel" in kinds:
         banks["mel"] = features.build_mel_filterbank(
-            cfg["features"]["mel"]["n_filters"], frame_config(cfg, "mel"), sample_rate)
+            cfg["features"]["mel"]["n_filters"], frame, sample_rate)
     if "cqt" in kinds:
         c = cfg["features"]["cqt"]
         banks["cqt"] = features.build_cqt_kernels(
-            frame_config(cfg, "cqt"), sample_rate, f_min=c["f_min"],
+            frame, sample_rate, f_min=c["f_min"],
             f_max=c["f_max"], bins_per_octave=c["bins_per_octave"])
     return banks
 
 
 def extract_segment(seg: audio.AudioSegment, kind: str, cfg: dict, banks: dict) -> np.ndarray:
+    frame = frame_config(cfg)
     if kind == "stft":
-        return features.stft(seg, frame_config(cfg, "stft")).values
+        return features.stft(seg, frame).values
     if kind == "mel":
-        return features.mel_spectrogram(seg, frame_config(cfg, "mel"), bank=banks["mel"]).values
+        return features.mel_spectrogram(seg, frame, bank=banks["mel"]).values
     if kind == "cqt":
-        return features.cqt_spectrogram(seg, frame_config(cfg, "cqt"), kernels=banks["cqt"]).values
+        return features.cqt_spectrogram(seg, frame, kernels=banks["cqt"]).values
     raise PipelineError(f"unknown feature kind {kind!r}")
 
 
@@ -158,25 +160,41 @@ def cmd_extract(cfg: dict, out_dir) -> dict:
 SPLITS = ("train", "val", "test")
 
 
-def _split_index(cfg: dict, index: dict) -> audio.SplitAssignment:
-    refs = [SimpleNamespace(parent_track_id=s["track"], label=s["label"], segment_id=s["id"])
+def _read_checked(path: Path, parse):
+    """parse(the JSON at path); a missing key or a wrong type is one PipelineError naming it."""
+    doc = read_json(path)
+    try:
+        return parse(doc)
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise PipelineError(f"{path} is malformed: {exc!r}") from exc
+
+
+def _parse_index(index: dict):
+    refs = [SimpleNamespace(parent_track_id=s["track"], label=int(s["label"]), segment_id=s["id"])
             for s in index["segments"]]
-    return audio.split_track_disjoint(refs, tuple(cfg["split"]["ratios"]), seed=cfg["seed"])
+    n_classes = int(index["n_classes"])
+    if not refs or not all(isinstance(r.segment_id, str) and isinstance(r.parent_track_id, str)
+                           and 0 <= r.label < n_classes for r in refs):
+        raise ValueError("segments need string ids and tracks and labels in [0, n_classes)")
+    recorded = _flatten(index["config"]) if "config" in index else None
+    return refs, n_classes, set(index["kinds"]), recorded
 
 
-def _read_index(cfg: dict, out_dir: Path, kinds: tuple[str, ...]) -> dict:
-    """The feature cache index, checked against the kinds and config asked for."""
+def _read_index(cfg: dict, out_dir: Path,
+                kinds: tuple[str, ...]) -> tuple[audio.SplitAssignment, int]:
+    """The cache's track-disjoint split and class count, after checking the
+    index against the kinds and config asked for."""
     index_path = out_dir / "features" / "index.json"
     if not index_path.exists():
         raise PipelineError(f"missing feature cache index {index_path}; run `icl extract` first")
-    index = read_json(index_path)
+    refs, n_classes, have, cached = _read_checked(index_path, _parse_index)
     for kind in kinds:
-        if kind not in index["kinds"]:
-            raise PipelineError(f"feature kind {kind!r} was not extracted (have {index['kinds']})")
-    if "config" not in index:
+        if kind not in have:
+            raise PipelineError(f"feature kind {kind!r} was not extracted (have {sorted(have)})")
+    if cached is None:
         raise PipelineError(f"{index_path} does not record the config it was extracted with; "
                             "re-run `icl extract`")
-    cached, wanted = _flatten(index["config"]), _flatten(_cache_config(cfg))
+    wanted = _flatten(_cache_config(cfg))
     differ = [key for key in sorted(cached.keys() | wanted.keys())
               if key != "features.kinds" and cached.get(key) != wanted.get(key)]
     if differ:
@@ -184,7 +202,8 @@ def _read_index(cfg: dict, out_dir: Path, kinds: tuple[str, ...]) -> dict:
                            for key in differ)
         raise PipelineError(f"feature cache {index_path} was extracted with a different config: "
                             f"{detail}; re-run `icl extract`")
-    return index
+    split = audio.split_track_disjoint(refs, tuple(cfg["split"]["ratios"]), seed=cfg["seed"])
+    return split, n_classes
 
 
 def _read_rows(out_dir: Path, kind: str, refs) -> np.ndarray:
@@ -211,8 +230,7 @@ def load_dataset(cfg: dict, out_dir, kinds: tuple[str, ...],
                  ) -> tuple[training.DatasetSplits, dict[str, features.FeatureStats]]:
     """Read cached features, split track-disjointly, normalize with train stats."""
     out_dir = Path(out_dir)
-    index = _read_index(cfg, out_dir, kinds)
-    assignment = _split_index(cfg, index)
+    assignment, n_classes = _read_index(cfg, out_dir, kinds)
 
     raw: dict[str, dict[str, np.ndarray]] = {k: {} for k in kinds}
     labels: dict[str, np.ndarray] = {}
@@ -229,7 +247,7 @@ def load_dataset(cfg: dict, out_dir, kinds: tuple[str, ...],
     feats = {k: {split: features.normalize_features(stats[k], raw[k][split])[:, None, :, :]
                  for split in SPLITS} for k in kinds}
     data = training.DatasetSplits(features=feats, labels=labels,
-                                  n_classes=index["n_classes"], segment_ids=segment_ids)
+                                  n_classes=n_classes, segment_ids=segment_ids)
     return data, stats
 
 
@@ -280,32 +298,39 @@ def _check_checkpoint(path: Path, params: dict[str, np.ndarray],
                             f"{name} is {got.get(name)} there, {expected.get(name)} in the config")
 
 
+def _parse_run_info(info: dict) -> tuple[tuple[str, ...], int]:
+    kinds = tuple(info["feature_kinds"])
+    if not kinds or not all(k in features.KINDS for k in kinds):
+        raise ValueError(f"feature_kinds must list stft|mel|cqt, got {kinds!r}")
+    return kinds, int(info["n_classes"])
+
+
 def _load_run(out_dir: Path, run_name: str):
     run_dir = Path(out_dir) / "runs" / run_name
     if not (run_dir / "checkpoint.iclc").exists():
         raise PipelineError(f"run {run_dir} has no checkpoint; train it first")
     cfg = read_json(run_dir / "resolved_config.json")
-    info = read_json(run_dir / "run.json")
-    stats = {k: features.FeatureStats(k, v["mean"], v["std"])
-             for k, v in read_json(run_dir / "stats.json").items()}
-    enc_cfgs = encoder_configs(cfg, tuple(info["feature_kinds"]))
+    kinds, n_classes = _read_checked(run_dir / "run.json", _parse_run_info)
+    stats = _read_checked(run_dir / "stats.json", lambda doc: {
+        k: features.FeatureStats(k, float(doc[k]["mean"]), float(doc[k]["std"])) for k in kinds})
+    enc_cfgs = encoder_configs(cfg, kinds)
     params = load_checkpoint(run_dir / "checkpoint.iclc")
-    _check_checkpoint(run_dir / "checkpoint.iclc", params, enc_cfgs, info["n_classes"])
-    return run_dir, cfg, info, enc_cfgs, stats, params
+    _check_checkpoint(run_dir / "checkpoint.iclc", params, enc_cfgs, n_classes)
+    return run_dir, cfg, n_classes, enc_cfgs, stats, params
 
 
 def cmd_eval(out_dir, run_name: str) -> dict:
     """Test-split metrics for a trained run: accuracy, confusion, per-sample probs."""
     out_dir = Path(out_dir)
-    run_dir, cfg, info, enc_cfgs, stats, params = _load_run(out_dir, run_name)
+    run_dir, cfg, n_classes, enc_cfgs, stats, params = _load_run(out_dir, run_name)
     kinds = tuple(enc_cfgs)
-    refs = _split_index(cfg, _read_index(cfg, out_dir, kinds)).test
+    refs = _read_index(cfg, out_dir, kinds)[0].test
     probs = training.predict_proba(params, enc_cfgs, kinds,
                                    _read_normalized(out_dir, kinds, refs, stats))
     preds = np.argmax(probs, axis=1)
     y = np.array([r.label for r in refs], dtype=np.int64)
     acc = metrics.accuracy(preds, y)
-    cm = metrics.confusion(preds, y, info["n_classes"])
+    cm = metrics.confusion(preds, y, n_classes)
     reporting.export_confusion(cm, run_dir / "confusion")
     doc = {
         "accuracy": acc,
@@ -326,9 +351,9 @@ def cmd_cam(out_dir, run_name: str, split: str = "test", index: int = 0,
     Reads only that segment's cache file per kind.
     """
     out_dir = Path(out_dir)
-    run_dir, cfg, info, enc_cfgs, stats, params = _load_run(out_dir, run_name)
+    run_dir, cfg, _, enc_cfgs, stats, params = _load_run(out_dir, run_name)
     kinds = tuple(enc_cfgs)
-    refs = getattr(_split_index(cfg, _read_index(cfg, out_dir, kinds)), split)
+    refs = getattr(_read_index(cfg, out_dir, kinds)[0], split)
     ids = [r.segment_id for r in refs]
     if segment_id is not None:
         if segment_id not in ids:

@@ -38,7 +38,6 @@ class TrainSettings:
     weight_decay: float = 1e-5
     alpha: float = 0.5
     seed: int = 0
-    symmetric_icl: bool = False
 
     def __post_init__(self):
         if self.mode not in (MODE_ICL,) + BASELINE_MODES:
@@ -72,7 +71,6 @@ class EpochRecord:
 
 @dataclass
 class TrainRun:
-    settings: TrainSettings
     history: list[EpochRecord]
     best_epoch: int
     best_val_accuracy: float
@@ -181,8 +179,7 @@ def train(data: DatasetSplits, enc_cfgs: dict[str, model.EncoderConfig],
                         m = losses.cosine_similarity_matrix(
                             outputs[kinds[0]].embedding, outputs[kinds[1]].embedding)
                     total, breakdown = losses.combined_loss(
-                        logits, yb, m, settings.alpha if use_contrastive else 0.0,
-                        symmetric=settings.symmetric_icl)
+                        logits, yb, m, settings.alpha if use_contrastive else 0.0)
                     ad.backward(total)
                     opt.step()
                     opt.zero_grad()
@@ -217,6 +214,6 @@ def train(data: DatasetSplits, enc_cfgs: dict[str, model.EncoderConfig],
         if log_file is not None:
             log_file.close()
 
-    return TrainRun(settings=settings, history=history, best_epoch=best_epoch,
+    return TrainRun(history=history, best_epoch=best_epoch,
                     best_val_accuracy=best_acc, best_params=best_params,
                     batch_losses=batch_records)

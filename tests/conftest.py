@@ -37,6 +37,18 @@ def micro_config(*extra: str, seed: int = 0) -> dict:
     return resolve_config(overrides=MICRO_OVERRIDES + [f"seed={seed}", *extra], env={})
 
 
+@pytest.fixture(scope="session")
+def micro_run(tmp_path_factory):
+    """A micro dataset, synthesized, extracted and trained once: (out, run name, cfg).
+    Tests that change its files work on a copy."""
+    out = tmp_path_factory.mktemp("micro")
+    cfg = micro_config()
+    pipeline.cmd_synth(cfg, out)
+    pipeline.cmd_extract(cfg, out)
+    run_dir = pipeline.cmd_train(cfg, out)
+    return out, run_dir.name, cfg
+
+
 DESK_SEEDS = (0, 1, 2)
 DESK_ALPHAS = (0.5, 0.2, 2.0)
 

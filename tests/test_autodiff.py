@@ -208,7 +208,7 @@ def conv_reference(x, w, b, g, stride, padding):
 
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("padding", ["same", "valid"])
-@pytest.mark.parametrize("kernel", [(3, 3), (1, 3)])
+@pytest.mark.parametrize("kernel", [(3, 3), (1, 3), (1, 1)])
 @pytest.mark.parametrize("channels", [1, 3])
 def test_conv2d_matches_tap_sum_reference(stride, padding, kernel, channels):
     local = np.random.default_rng([stride, len(padding), kernel[0], channels])

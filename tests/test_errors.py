@@ -1,10 +1,13 @@
 """The error contract: one root class, one config check per fact, and
-binary readers that either parse or raise it."""
+binary readers and JSON artifacts that either parse or raise it."""
 
 import ast
+import copy
 import importlib
 import inspect
+import json
 import pkgutil
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 
 import icl
 from conftest import micro_config
-from icl import audio, checkpoint, cli, features, wavio
+from icl import audio, checkpoint, cli, features, pipeline, wavio
 from icl.audio import AudioError, SplitError
 from icl.config import ConfigError
 from icl.errors import IclError
@@ -52,8 +55,6 @@ def test_cli_catches_exactly_the_root_and_oserror():
     ("encoder.blocks_per_stage=[1]", "encoder.blocks_per_stage", ModelError),
     ("encoder.embedding_dim=16", "encoder.embedding_dim", ModelError),
     ("features.frame_shift_ms=60", "features.frame_shift_ms", FeatureError),
-    ('features.cqt_frame={"frame_shift_ms":0}', "features.cqt_frame.frame_shift_ms",
-     FeatureError),
     ("split.ratios=[1,0,0]", "split.ratios", SplitError),
     ("split.ratios=[0.5,0.3,0.3]", "split.ratios", SplitError),
     ("segmentation.overlap=1.5", "segmentation.overlap", AudioError),
@@ -64,6 +65,23 @@ def test_config_errors_come_from_the_typed_settings(override, field, source):
         micro_config(override)
     assert str(exc.value).startswith(field)
     assert isinstance(exc.value.__cause__, source)
+
+
+@pytest.mark.parametrize("override, message", [
+    ("training.alhpa=2", "training.alhpa: unknown config key"),
+    ("encoder.embeding_dim=32", "encoder.embeding_dim: unknown config key"),
+    ("features.cqt_frame={}", "features.cqt_frame: unknown config key"),
+    ("training.symmetric_icl=true", "training.symmetric_icl: unknown config key"),
+    ("dataset.synthesis.seed=3", "dataset.synthesis.seed: unknown config key"),
+    ("features.mel.n_filters=abc", "features: malformed value"),
+    ("dataset.manifest=7", "dataset: malformed value"),
+])
+def test_config_document_errors_end_in_one_error_line(tmp_path, capsys, override, message):
+    argv = ["synth", "--out", str(tmp_path / "out"), "--preset", "desk", "--set", override]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and len(err.strip().splitlines()) == 1, err
+    assert not (tmp_path / "out").exists()
 
 
 # -- binary readers: any byte string parses or raises an IclError ---------------
@@ -132,3 +150,63 @@ def test_feature_cache_reader_fuzz(fuzz_dir, blob):
 @example(blob=b"ICLC\x01")
 def test_checkpoint_reader_fuzz(fuzz_dir, blob):
     _parses_or_raises_icl_error(checkpoint.load_checkpoint, fuzz_dir / "f.iclc", blob)
+
+
+# -- JSON artifacts: a dropped key or a value of another type parses or raises -----
+
+DROP = object()
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+                        st.lists(st.integers(), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def _paths(doc, prefix=()):
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def json_fuzz_run(micro_run, tmp_path_factory):
+    out = tmp_path_factory.mktemp("json_fuzz") / "out"
+    shutil.copytree(micro_run[0], out)
+    return out, micro_run[1], micro_run[2]
+
+
+@pytest.mark.parametrize("victim", ["features/index.json", "runs/{run}/run.json",
+                                    "runs/{run}/stats.json"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_json_artifact_fuzz(json_fuzz_run, victim, data):
+    out, run_name, cfg = json_fuzz_run
+    path = out / victim.format(run=run_name)
+    original = path.read_text()
+    doc = json.loads(original)
+    paths = list(_paths(doc))
+    where = data.draw(st.one_of(st.sampled_from([p for p in paths if len(p) == 1]),
+                                st.sampled_from(paths)))
+    new = data.draw(st.one_of(st.just(DROP), JSON_VALUES.filter(
+        lambda v: type(v) is not type(_get(doc, where)))))
+    edited = copy.deepcopy(doc)
+    parent = _get(edited, where[:-1])
+    if new is DROP:
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = new
+    path.write_text(json.dumps(edited))
+    try:
+        if path.name == "index.json":
+            pipeline.load_dataset(cfg, out, ("mel", "cqt"))
+        else:
+            pipeline.cmd_eval(out, run_name)
+    except IclError:
+        pass
+    finally:
+        path.write_text(original)

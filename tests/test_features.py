@@ -265,13 +265,6 @@ def test_normalize_is_pure_affine_on_heldout_data():
     assert abs(corr - 1.0) < 1e-12
 
 
-def test_normalize_kind_mismatch():
-    stats = compute_feature_stats([np.ones((2, 2))], "mel")
-    spec = features.Spectrogram("cqt", np.ones((2, 2)), np.arange(2.0), np.arange(2.0))
-    with pytest.raises(FeatureError, match="kind"):
-        normalize_features(stats, spec)
-
-
 def test_feature_cache_roundtrip_bit_exact(tmp_path):
     values = rng.standard_normal((59, 13)).astype(np.float32)
     path = tmp_path / "seg.iclf"
@@ -305,4 +298,4 @@ def test_feature_cache_rejects_truncated_header(tmp_path, length):
 
 def test_spectrogram_rejects_nonfinite():
     with pytest.raises(FeatureError, match="non-finite"):
-        features.Spectrogram("mel", np.array([[np.inf]]), np.zeros(1), np.zeros(1))
+        features.Spectrogram("mel", np.array([[np.inf]]), np.zeros(1))

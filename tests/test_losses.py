@@ -7,8 +7,7 @@ import pytest
 
 import icl.autodiff as ad
 from icl.autodiff import Tensor
-from icl.losses import (LossBreakdown, combined_loss, cosine_similarity_matrix,
-                        ensemble_predict, icl_loss)
+from icl.losses import combined_loss, cosine_similarity_matrix, ensemble_predict, icl_loss
 
 rng = np.random.default_rng(33)
 
@@ -83,22 +82,11 @@ def test_non_square_rejected():
         icl_loss(Tensor(np.zeros((3, 4))))
 
 
-def test_symmetric_mode_averages_row_and_column_views():
-    m = rng.standard_normal((5, 5))
-    row = float(icl_loss(Tensor(m)).data)
-    col = float(icl_loss(Tensor(m.T.copy())).data)
-    sym = float(icl_loss(Tensor(m), symmetric=True).data)
-    assert abs(sym - 0.5 * (row + col)) < 1e-12
-
-
 def test_gradient_through_similarity_matches_finite_differences():
     e1 = rng.standard_normal((3, 4))
     e2 = rng.standard_normal((3, 4))
     err = ad.grad_check(lambda a, b: icl_loss(cosine_similarity_matrix(a, b)), [e1, e2])
     assert err < 1e-4
-    err_sym = ad.grad_check(
-        lambda a, b: icl_loss(cosine_similarity_matrix(a, b), symmetric=True), [e1, e2])
-    assert err_sym < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +128,6 @@ def test_negative_alpha_rejected():
     logits, y, m = make_parts()
     with pytest.raises(ValueError):
         combined_loss(logits, y, m, -0.1)
-    with pytest.raises(ValueError):
-        LossBreakdown(ce=1.0, icl=1.0, alpha=-1.0, total=0.0)
-
-
-def test_breakdown_requires_finite_nonnegative():
-    with pytest.raises(ValueError):
-        LossBreakdown(ce=-1.0, icl=0.0, alpha=0.5, total=0.0)
-    with pytest.raises(ValueError):
-        LossBreakdown(ce=math.inf, icl=0.0, alpha=0.5, total=math.inf)
 
 
 # ---------------------------------------------------------------------------

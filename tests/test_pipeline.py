@@ -7,20 +7,10 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import MICRO_OVERRIDES, micro_config
+from conftest import MICRO_OVERRIDES
 from icl import audio, features, model, pipeline, training, wavio
 from icl.cli import main
 from icl.config import resolve_config
-
-
-@pytest.fixture(scope="module")
-def micro_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("micro")
-    cfg = micro_config()
-    pipeline.cmd_synth(cfg, out)
-    pipeline.cmd_extract(cfg, out)
-    run_dir = pipeline.cmd_train(cfg, out)
-    return out, run_dir.name, cfg
 
 
 def test_cam_reads_one_cache_file_per_kind(micro_run, monkeypatch):
@@ -152,6 +142,34 @@ def test_damaged_artifact_ends_in_one_error_line(micro_run, tmp_path, capsys,
     else:
         argv = ["extract", "--out", str(out), *_micro_args(f"dataset.manifest={path}")]
     assert path.name in _one_error_line(capsys, argv)
+
+
+def _drop_segments(index):
+    del index["segments"]
+
+
+def _drop_mel_std(stats):
+    del stats["mel"]["std"]
+
+
+@pytest.mark.parametrize("victim, edit, command", [
+    ("features/index.json", _drop_segments, "train"),
+    ("runs/{run}/stats.json", _drop_mel_std, "eval"),
+])
+def test_json_artifact_of_wrong_structure_ends_in_one_error_line(
+        micro_run, tmp_path, capsys, victim, edit, command):
+    out = tmp_path / "out"
+    shutil.copytree(micro_run[0], out)
+    path = out / victim.format(run=micro_run[1])
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    if command == "eval":
+        argv = ["eval", "--out", str(out), "--run", micro_run[1]]
+    else:
+        argv = ["train", "--out", str(out), *_micro_args()]
+    err = _one_error_line(capsys, argv)
+    assert f"{path} is malformed" in err
 
 
 @pytest.mark.parametrize("key, value", [

@@ -72,6 +72,19 @@ def test_alpha_positive_adds_contrastive_term():
         assert abs(rec["total"] - (rec["ce"] + 0.5 * rec["icl"])) < 1e-12
 
 
+def test_contrastive_batch_of_one_trains_on_ce_alone():
+    # 25 = 3 * 8 + 1: the last batch of each epoch holds one sample. Its
+    # 1x1 similarity matrix has a contrastive loss of exactly 0.
+    data = toy_data(n_train=25)
+    run = train(data, TINY_CFG, settings(alpha=0.5), record_batches=True)
+    for rec in run.batch_losses:
+        if rec["batch"] == 3:
+            assert rec["icl"] == 0.0 and rec["total"] == rec["ce"]
+        else:
+            assert rec["icl"] > 0.0
+    assert sum(rec["batch"] == 3 for rec in run.batch_losses) == 2
+
+
 def test_baseline_mode_ignores_alpha():
     data = toy_data()
     run_a = train(data, TINY_CFG, settings(mode="mel", alpha=0.9), record_batches=True)
