@@ -3,9 +3,11 @@
 The operator set is sized for residual convolutional encoders and the
 losses built on top of them: matmul, conv2d, relu, elementwise add/mul,
 global average pooling, linear layers, row-wise L2 normalization and
-softmax cross-entropy. Everything runs in float64 by default so
-finite-difference gradient checks are meaningful; float32 storage is
-available for inference-style use.
+softmax cross-entropy. Every op computes in the dtype of its inputs. A
+Tensor keeps a float32 array as float32 and makes float64 of anything
+else, so finite-difference gradient checks stay in float64. Training
+steps run in float32; validation, ``eval`` and ``cam`` wrap their
+parameters as float64 (see ``icl.training``).
 
 Graphs are implicit: each op returns a Tensor holding references to its
 parents and a backward rule. ``backward(loss)`` walks the graph in
@@ -75,7 +77,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, name: str | None = None):
-        self.data = np.asarray(data, dtype=dtype if dtype is not None else np.float64)
+        if dtype is None:
+            dtype = np.float32 if getattr(data, "dtype", None) == np.float32 else np.float64
+        self.data = np.asarray(data, dtype=dtype)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name

@@ -58,7 +58,10 @@ def combined_loss(logits: Tensor, labels: np.ndarray, m: Tensor | None,
         return ce, LossBreakdown(float(ce.data), 0.0, float(alpha), float(ce.data))
     icl = icl_loss(m)
     total = ad.weighted_sum(ce, 1.0, icl, alpha)
-    return total, LossBreakdown(float(ce.data), float(icl.data), float(alpha), float(total.data))
+    # From the float terms, so the record's total is exactly ce + alpha*icl in
+    # float32 training too; in float64 it equals total.data.
+    ce_v, icl_v = float(ce.data), float(icl.data)
+    return total, LossBreakdown(ce_v, icl_v, float(alpha), ce_v + alpha * icl_v)
 
 
 def ensemble_predict(probs_a: np.ndarray, probs_b: np.ndarray) -> int:

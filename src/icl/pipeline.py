@@ -176,8 +176,11 @@ def _parse_index(index: dict):
     if not refs or not all(isinstance(r.segment_id, str) and isinstance(r.parent_track_id, str)
                            and 0 <= r.label < n_classes for r in refs):
         raise ValueError("segments need string ids and tracks and labels in [0, n_classes)")
+    kinds = index["kinds"]
+    if not all(k in features.KINDS for k in kinds):
+        raise ValueError(f"kinds must list stft|mel|cqt, got {kinds!r}")
     recorded = _flatten(index["config"]) if "config" in index else None
-    return refs, n_classes, set(index["kinds"]), recorded
+    return refs, n_classes, set(kinds), recorded
 
 
 def _read_index(cfg: dict, out_dir: Path,
@@ -285,12 +288,8 @@ def cmd_train(cfg: dict, out_dir, run_name: str | None = None) -> Path:
 
 
 def _check_checkpoint(path: Path, params: dict[str, np.ndarray],
-                      enc_cfgs: dict[str, model.EncoderConfig], n_classes: int) -> None:
+                      expected: dict[str, tuple[int, ...]]) -> None:
     """Refuse a checkpoint whose names or shapes differ from the run's model."""
-    expected = {}
-    for kind, enc in enc_cfgs.items():
-        expected.update(model.encoder_param_shapes(enc, prefix=kind))
-    expected.update({"head/w": (n_classes, enc.embedding_dim), "head/b": (n_classes,)})
     got = {name: p.shape for name, p in params.items()}
     if got != expected:
         name = min(n for n in expected.keys() | got.keys() if expected.get(n) != got.get(n))
@@ -305,17 +304,33 @@ def _parse_run_info(info: dict) -> tuple[tuple[str, ...], int]:
     return kinds, int(info["n_classes"])
 
 
+def _parse_run_config(cfg: dict, kinds: tuple[str, ...], n_classes: int):
+    """The run's config, its encoder configs and the parameter shapes they
+    make, after checking what ``_read_index`` reads: the cache blocks and the split."""
+    enc_cfgs = encoder_configs(cfg, kinds)
+    shapes = {}
+    for kind, enc in enc_cfgs.items():
+        shapes.update(model.encoder_param_shapes(enc, prefix=kind))
+    shapes.update({"head/w": (n_classes, enc.embedding_dim), "head/b": (n_classes,)})
+    _cache_config(cfg)
+    audio.split_track_disjoint([], tuple(cfg["split"]["ratios"]))
+    # A null seed would make the split draw from fresh entropy, unseen.
+    if not isinstance(cfg["seed"], int):
+        raise TypeError(f"seed must be an integer, got {cfg['seed']!r}")
+    return cfg, enc_cfgs, shapes
+
+
 def _load_run(out_dir: Path, run_name: str):
     run_dir = Path(out_dir) / "runs" / run_name
     if not (run_dir / "checkpoint.iclc").exists():
         raise PipelineError(f"run {run_dir} has no checkpoint; train it first")
-    cfg = read_json(run_dir / "resolved_config.json")
     kinds, n_classes = _read_checked(run_dir / "run.json", _parse_run_info)
     stats = _read_checked(run_dir / "stats.json", lambda doc: {
         k: features.FeatureStats(k, float(doc[k]["mean"]), float(doc[k]["std"])) for k in kinds})
-    enc_cfgs = encoder_configs(cfg, kinds)
+    cfg, enc_cfgs, shapes = _read_checked(run_dir / "resolved_config.json",
+                                          lambda doc: _parse_run_config(doc, kinds, n_classes))
     params = load_checkpoint(run_dir / "checkpoint.iclc")
-    _check_checkpoint(run_dir / "checkpoint.iclc", params, enc_cfgs, n_classes)
+    _check_checkpoint(run_dir / "checkpoint.iclc", params, shapes)
     return run_dir, cfg, n_classes, enc_cfgs, stats, params
 
 

@@ -121,10 +121,12 @@ def predict_logits(params, enc_cfgs, kinds, features: dict[str, np.ndarray],
                    batch_size: int = 64) -> np.ndarray:
     """Forward-only logits for a whole split; accepts Tensor or ndarray params.
 
-    Parameters are rewrapped in fresh Tensors that need no gradient, so
-    the forward pass builds no graph, even on live training parameters.
+    Parameters are rewrapped as float64 in fresh Tensors that need no
+    gradient, so the forward pass builds no graph, even on live float32
+    training parameters, and matches a pass on the saved checkpoint.
     """
-    tensors = {n: Tensor(p.data if isinstance(p, Tensor) else p) for n, p in params.items()}
+    tensors = {n: Tensor(p.data if isinstance(p, Tensor) else p, dtype=np.float64)
+               for n, p in params.items()}
     n = next(iter(features.values())).shape[0]
     chunks = []
     for start in range(0, n, batch_size):
@@ -145,12 +147,19 @@ def train(data: DatasetSplits, enc_cfgs: dict[str, model.EncoderConfig],
     Emits one JSON line per epoch (epoch, ce, icl, total, val_accuracy)
     when log_path is given. The kept checkpoint is the latest epoch
     attaining the maximum validation accuracy.
+
+    Steps run in float32: the float64 initial weights and the train split
+    are cast once. Validation runs in float64 on a lossless cast of the
+    weights, as ``eval`` does on the checkpoint.
     """
     kinds = settings.feature_kinds
     for kind in kinds:
         if kind not in data.features:
             raise TrainingError(f"dataset has no {kind!r} features for mode {settings.mode!r}")
     params = init_model_params(kinds, enc_cfgs, data.n_classes, settings.seed)
+    for p in params.values():
+        p.data = p.data.astype(np.float32)
+    x_train = {k: data.features[k]["train"].astype(np.float32) for k in kinds}
     opt = AdamW(params, lr=settings.lr, weight_decay=settings.weight_decay)
     rng = np.random.default_rng([settings.seed, 7151])
 
@@ -170,7 +179,7 @@ def train(data: DatasetSplits, enc_cfgs: dict[str, model.EncoderConfig],
             sums = {"ce": 0.0, "icl": 0.0, "total": 0.0}
             for b_idx, start in enumerate(range(0, n_train, settings.batch_size)):
                 idx = order[start: start + settings.batch_size]
-                batches = {k: data.features[k]["train"][idx] for k in kinds}
+                batches = {k: x_train[k][idx] for k in kinds}
                 yb = y_train[idx]
                 try:
                     logits, outputs = _forward(params, enc_cfgs, kinds, batches)
@@ -209,7 +218,7 @@ def train(data: DatasetSplits, enc_cfgs: dict[str, model.EncoderConfig],
             if val_acc >= best_acc:
                 best_acc = val_acc
                 best_epoch = epoch
-                best_params = {n: p.data.copy() for n, p in params.items()}
+                best_params = {n: p.data.astype(np.float64) for n, p in params.items()}
     finally:
         if log_file is not None:
             log_file.close()

@@ -121,6 +121,20 @@ def test_float32_storage_mode():
     assert err < 1e-3
 
 
+def test_tensor_keeps_float32_and_makes_float64_of_the_rest():
+    assert Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+    for data in ([1, 2], np.ones(2, dtype=np.int64), np.ones(2, dtype=np.float16), 1.5):
+        assert Tensor(data).data.dtype == np.float64
+
+
+def test_l2_normalize_eps_floor_holds_in_float32():
+    x = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
+    y = ad.l2_normalize(x)
+    ad.backward(ad.sum_all(ad.mul(y, Tensor(np.ones((2, 3), dtype=np.float32)))))
+    assert y.data.dtype == x.grad.dtype == np.float32
+    assert np.all(np.isfinite(y.data)) and np.all(np.isfinite(x.grad))
+
+
 # --- gradient checks per operator (64-bit, off-kink inputs) ---
 
 OP_CASES = [

@@ -181,7 +181,8 @@ def json_fuzz_run(micro_run, tmp_path_factory):
 
 
 @pytest.mark.parametrize("victim", ["features/index.json", "runs/{run}/run.json",
-                                    "runs/{run}/stats.json"])
+                                    "runs/{run}/stats.json",
+                                    "runs/{run}/resolved_config.json"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_json_artifact_fuzz(json_fuzz_run, victim, data):

@@ -62,6 +62,19 @@ def test_constant_gradient_update_magnitude_approaches_lr():
     assert abs(abs(traj[-1]) - lr) / lr < 0.01  # bias-corrected Adam limit
 
 
+def test_eps_floor_holds_in_float32():
+    # 1e-20 squared is below float32's smallest normal; eps keeps the
+    # step finite and tiny instead of lr-sized.
+    p = Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
+    opt = AdamW({"p": p})
+    for _ in range(3):
+        p.grad = np.full(4, 1e-20, dtype=np.float32)
+        opt.step()
+    for arr in (p.data, opt.m["p"], opt.v["p"]):
+        assert arr.dtype == np.float32 and np.all(np.isfinite(arr))
+    assert np.all(np.abs(p.data - 1.0) < 1e-6)
+
+
 def test_nonfinite_gradient_aborts_without_touching_params():
     p1 = make_param([1.0])
     p2 = make_param([2.0])

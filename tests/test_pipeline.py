@@ -152,9 +152,24 @@ def _drop_mel_std(stats):
     del stats["mel"]["std"]
 
 
+def _null_kind(index):
+    index["kinds"][1] = None
+
+
+def _drop_split(cfg):
+    del cfg["split"]
+
+
+def _null_seed(cfg):
+    cfg["seed"] = None
+
+
 @pytest.mark.parametrize("victim, edit, command", [
     ("features/index.json", _drop_segments, "train"),
+    ("features/index.json", _null_kind, "train"),
     ("runs/{run}/stats.json", _drop_mel_std, "eval"),
+    ("runs/{run}/resolved_config.json", _drop_split, "eval"),
+    ("runs/{run}/resolved_config.json", _null_seed, "eval"),
 ])
 def test_json_artifact_of_wrong_structure_ends_in_one_error_line(
         micro_run, tmp_path, capsys, victim, edit, command):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from icl import training
+from icl.checkpoint import load_checkpoint, save_checkpoint
 from icl.model import EncoderConfig
+from icl.optim import AdamW
 from icl.training import (DatasetSplits, TrainingError, TrainSettings,
                           predict_proba, train)
 
@@ -149,6 +151,46 @@ def test_predict_logits_on_live_params_is_graph_free(monkeypatch):
     assert np.array_equal(got, want.data)
     assert seen and all(t._parents == () and t._backward is None for t in seen)
     assert all(p.grad is None for p in params.values())
+
+
+def test_training_steps_run_in_float32(monkeypatch):
+    """One contrastive step: every node of the loss graph, every gradient and
+    AdamW's moments are float32, so nothing is upcast on the way."""
+    seen = {}
+    backward, step = training.ad.backward, AdamW.step
+
+    def spy_backward(loss):
+        seen["nodes"] = training.ad._toposort(loss)
+        backward(loss)
+
+    def spy_step(opt):
+        seen["grads"] = [p.grad for p in opt.params.values()]
+        step(opt)
+        seen["moments"] = [*opt.m.values(), *opt.v.values()]
+
+    monkeypatch.setattr(training.ad, "backward", spy_backward)
+    monkeypatch.setattr(AdamW, "step", spy_step)
+    run = train(toy_data(n_train=8), TINY_CFG, settings(epochs=1))
+    assert run.history[0].icl > 0
+    assert {"conv2d", "l2_normalize", "weighted_sum"} <= {n._op for n in seen["nodes"]}
+    assert all(n.data.dtype == np.float32 for n in seen["nodes"])
+    assert all(g is not None and g.dtype == np.float32 for g in seen["grads"])
+    assert all(m.dtype == np.float32 for m in seen["moments"])
+    assert all(p.dtype == np.float64 for p in run.best_params.values())
+
+
+def test_predict_logits_on_float32_params_matches_the_checkpoint(tmp_path):
+    # float32 inputs too, so only predict_logits' own cast makes the pass float64.
+    data = toy_data()
+    kinds = ("mel", "cqt")
+    params = training.init_model_params(kinds, TINY_CFG, data.n_classes, seed=0)
+    for p in params.values():
+        p.data = p.data.astype(np.float32)
+    val = {k: data.features[k]["val"].astype(np.float32) for k in kinds}
+    live = training.predict_logits(params, TINY_CFG, kinds, val)
+    save_checkpoint(tmp_path / "c.iclc", {n: p.data for n, p in params.items()})
+    saved = training.predict_logits(load_checkpoint(tmp_path / "c.iclc"), TINY_CFG, kinds, val)
+    assert live.dtype == np.float64 and np.array_equal(live, saved)
 
 
 def test_settings_validation():
