@@ -188,7 +188,8 @@ def load_wav(path, track_id: str | None = None, label: int = -1) -> AudioTrack:
 
 
 def write_manifest(path, entries: list[dict], synthesis: SynthesisSpec | None = None) -> None:
-    """JSON manifest: per-track {track_id, path|synthesis, label} records."""
+    """JSON manifest: per-track {track_id, path, label} records, the path
+    relative to the manifest; a synthesized set records its spec too."""
     doc = {"tracks": entries}
     if synthesis is not None:
         doc["synthesis_spec"] = asdict(synthesis)
@@ -213,29 +214,11 @@ def spec_from_dict(d: dict) -> SynthesisSpec:
 
 
 def load_manifest(path) -> list[AudioTrack]:
-    """Load every track in a manifest, from WAV paths or synth parameters."""
+    """Load every track of a manifest from its WAV file."""
     path = Path(path)
-    doc = read_json(path)
-    try:
-        spec = spec_from_dict(doc["synthesis_spec"]) if "synthesis_spec" in doc else None
-        entries = [(e["track_id"], int(e["label"]), e.get("path"),
-                    int(e["synthesis"]["index"]) if "synthesis" in e else None)
-                   for e in doc["tracks"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise AudioError(f"manifest {path} is malformed: {exc!r}") from exc
-    tracks = []
-    for track_id, label, rel, index in entries:
-        if rel is not None:
-            tracks.append(load_wav(path.parent / str(rel), track_id=track_id, label=label))
-        elif index is not None:
-            if spec is None:
-                raise AudioError(f"manifest {path} has synthesis entries but no synthesis_spec")
-            track = synthesize_track(spec, label, index)
-            track.track_id = track_id
-            tracks.append(track)
-        else:
-            raise AudioError(f"manifest entry {track_id} has neither path nor synthesis")
-    return tracks
+    entries = read_json(path, lambda doc: [(e["track_id"], int(e["label"]), path.parent / e["path"])
+                                           for e in doc["tracks"]])
+    return [load_wav(wav, track_id=track_id, label=label) for track_id, label, wav in entries]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import audio, features, model, training
-from .errors import IclError, read_json
+from .errors import IclError, is_int, read_json
 
 
 class ConfigError(IclError):
@@ -142,8 +142,7 @@ def resolve_config(config_path=None, preset: str | None = None,
             cfg["seed"] = int(env["ICL_SEED"])
         except ValueError as exc:
             raise ConfigError(f"ICL_SEED must be an integer, got {env['ICL_SEED']!r}") from exc
-    validate_config(cfg)
-    return cfg
+    return validate_config(cfg)
 
 
 @contextmanager
@@ -200,9 +199,12 @@ def _check_known(doc: dict, known: dict, prefix: str = "") -> None:
             _check_known(value, known[key], f"{prefix}{key}.")
 
 
-def validate_config(cfg: dict) -> None:
-    """Build the typed settings, then check the facts only this document holds."""
+def validate_config(cfg: dict) -> dict:
+    """Build the typed settings, then check the facts only this document holds; returns cfg."""
     _check_known(cfg, DEFAULT_CONFIG)
+    # A null seed would make the split draw from fresh entropy, unseen.
+    _check(is_int(cfg["seed"]) and cfg["seed"] >= 0, "seed",
+           f"must be an integer >= 0, got {cfg['seed']!r}")
     mode = train_settings(cfg).mode
     encoder_configs(cfg, ("mel",))
     frame_config(cfg)
@@ -220,9 +222,11 @@ def validate_config(cfg: dict) -> None:
         for kind in ("mel", "cqt") if mode == training.MODE_ICL else (mode,):
             _check(kind in feats["kinds"], "features.kinds",
                    f"mode {mode!r} needs {kind!r} in extracted kinds {feats['kinds']}")
-        _check(feats["mel"]["n_filters"] >= 1, "features.mel.n_filters", "must be >= 1")
-        _check(feats["cqt"]["bins_per_octave"] >= 1, "features.cqt.bins_per_octave",
-               "must be >= 1")
+        for block, key in (("mel", "n_filters"), ("cqt", "bins_per_octave")):
+            value = feats[block][key]
+            if not is_int(value):
+                raise TypeError(f"features.{block}.{key} must be an integer, got {value!r}")
+            _check(value >= 1, f"features.{block}.{key}", "must be >= 1")
 
     with _block("dataset"):
         ds = cfg["dataset"]
@@ -233,9 +237,9 @@ def validate_config(cfg: dict) -> None:
             spec_keys = {f.name for f in dataclasses.fields(audio.SynthesisSpec)} - {"seed"}
             for key in ds["synthesis"]:
                 _check(key in spec_keys, f"dataset.synthesis.{key}", "unknown config key")
-        if ds["manifest"] is not None:
-            _check(Path(ds["manifest"]).exists(), "dataset.manifest",
-                   f"file not found: {ds['manifest']}")
+        if ds["manifest"] is not None and not isinstance(ds["manifest"], str):
+            raise TypeError(f"dataset.manifest must be a path or null, got {ds['manifest']!r}")
+    return cfg
 
 
 def save_config(cfg: dict, path) -> None:

@@ -1,7 +1,8 @@
-"""``IclError``, the root of every exception class in ``icl``, and a JSON
-reader that raises it."""
+"""``IclError``, the root of every exception class in ``icl``; the one JSON
+reader, which raises it; and the integer test the typed settings share."""
 
 import json
+import numbers
 from pathlib import Path
 
 
@@ -9,10 +10,24 @@ class IclError(Exception):
     """Base class of every error raised by the ``icl`` package."""
 
 
-def read_json(path):
-    """Parse a JSON file; content that is not JSON raises IclError naming the file."""
+def read_json(path, parse=None):
+    """The JSON at path, or ``parse`` of it. Content that is not JSON, and a missing
+    key, a wrong type or an IclError in ``parse``, raise one IclError naming the file."""
     path = Path(path)
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise IclError(f"{path} is not valid JSON: {exc}") from exc
+    if parse is None:
+        return doc
+    try:
+        return parse(doc)
+    except IclError as exc:
+        raise IclError(f"{path} is malformed: {exc}") from exc
+    except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
+        raise IclError(f"{path} is malformed: {exc!r}") from exc
+
+
+def is_int(value) -> bool:
+    """An integer, but not a bool: JSON ``true`` must not count as 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import IclError
+from .errors import IclError, is_int
 
 LOG_FLOOR = 1e-10
 
@@ -55,6 +55,8 @@ class FrameConfig:
     fft_size: int | None = None  # next power of two >= frame samples when None
 
     def __post_init__(self):
+        if self.fft_size is not None and not is_int(self.fft_size):
+            raise FeatureError(f"fft_size must be an integer or null, got {self.fft_size!r}")
         if not 0 < self.frame_shift_ms <= self.frame_len_ms:
             raise FeatureError(f"frame_shift_ms {self.frame_shift_ms} must be in "
                                f"(0, frame_len_ms {self.frame_len_ms}]")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import IclError
+from .errors import IclError, is_int
 
 
 class ModelError(IclError):
@@ -35,6 +35,11 @@ class EncoderConfig:
     embedding_dim: int = 512
 
     def __post_init__(self):
+        for name in ("stem_channels", "blocks_per_stage", "channel_widths", "embedding_dim"):
+            value = getattr(self, name)
+            values = value if isinstance(value, (tuple, list)) else (value,)
+            if not values or not all(is_int(v) and v >= 1 for v in values):
+                raise ModelError(f"{name} must be integers >= 1, got {value!r}")
         if len(self.blocks_per_stage) != len(self.channel_widths):
             raise ModelError("blocks_per_stage and channel_widths must have equal length")
         if self.embedding_dim != self.channel_widths[-1]:

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import audio, features, metrics, model, reporting, training
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import encoder_configs, frame_config, save_config, train_settings
+from .config import (encoder_configs, frame_config, save_config, train_settings,
+                     validate_config)
 from .errors import IclError, read_json
 
 
@@ -54,19 +55,13 @@ def _flatten(doc: dict, prefix: str = "") -> dict:
     return flat
 
 
-def synthesis_spec_from_config(cfg: dict) -> audio.SynthesisSpec:
-    syn = cfg["dataset"]["synthesis"]
-    if syn is None:
-        raise PipelineError("config has no dataset.synthesis block")
-    return audio.spec_from_dict({**syn, "seed": cfg["seed"]})
-
-
 def cmd_synth(cfg: dict, out_dir) -> Path:
     """Generate the synthetic dataset as WAV files plus a manifest."""
+    if cfg["dataset"]["synthesis"] is None:
+        raise PipelineError("config has no dataset.synthesis block")
+    spec = audio.spec_from_dict({**cfg["dataset"]["synthesis"], "seed": cfg["seed"]})
     out_dir = Path(out_dir)
-    wav_dir = out_dir / "wavs"
-    wav_dir.mkdir(parents=True, exist_ok=True)
-    spec = synthesis_spec_from_config(cfg)
+    (out_dir / "wavs").mkdir(parents=True, exist_ok=True)
     entries = []
     for track in audio.synthesize_dataset(spec):
         rel = f"wavs/{track.track_id}.wav"
@@ -76,15 +71,6 @@ def cmd_synth(cfg: dict, out_dir) -> Path:
     audio.write_manifest(manifest, entries, synthesis=spec)
     save_config(cfg, out_dir / "resolved_config.json")
     return manifest
-
-
-def _load_tracks(cfg: dict, out_dir: Path) -> list[audio.AudioTrack]:
-    if cfg["dataset"]["manifest"] is not None:
-        return audio.load_manifest(cfg["dataset"]["manifest"])
-    local = Path(out_dir) / "manifest.json"
-    if local.exists():
-        return audio.load_manifest(local)
-    return audio.synthesize_dataset(synthesis_spec_from_config(cfg))
 
 
 def _build_banks(cfg: dict, sample_rate: float) -> dict:
@@ -114,9 +100,14 @@ def extract_segment(seg: audio.AudioSegment, kind: str, cfg: dict, banks: dict) 
 
 
 def cmd_extract(cfg: dict, out_dir) -> dict:
-    """Segment all tracks and cache every configured feature kind."""
+    """Segment the tracks of the manifest (``dataset.manifest``, or else the
+    one ``icl synth`` wrote) and cache every configured feature kind."""
     out_dir = Path(out_dir)
-    tracks = _load_tracks(cfg, out_dir)
+    manifest = cfg["dataset"]["manifest"]
+    if manifest is None and not (out_dir / "manifest.json").exists():
+        raise PipelineError(f"no {out_dir / 'manifest.json'}; run `icl synth` first "
+                            "or set dataset.manifest")
+    tracks = audio.load_manifest(out_dir / "manifest.json" if manifest is None else manifest)
     seg_cfg = cfg["segmentation"]
     segments, skipped = audio.segment_tracks(tracks, seg_cfg["segment_len"], seg_cfg["overlap"])
     if not segments:
@@ -160,15 +151,6 @@ def cmd_extract(cfg: dict, out_dir) -> dict:
 SPLITS = ("train", "val", "test")
 
 
-def _read_checked(path: Path, parse):
-    """parse(the JSON at path); a missing key or a wrong type is one PipelineError naming it."""
-    doc = read_json(path)
-    try:
-        return parse(doc)
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise PipelineError(f"{path} is malformed: {exc!r}") from exc
-
-
 def _parse_index(index: dict):
     refs = [SimpleNamespace(parent_track_id=s["track"], label=int(s["label"]), segment_id=s["id"])
             for s in index["segments"]]
@@ -190,7 +172,7 @@ def _read_index(cfg: dict, out_dir: Path,
     index_path = out_dir / "features" / "index.json"
     if not index_path.exists():
         raise PipelineError(f"missing feature cache index {index_path}; run `icl extract` first")
-    refs, n_classes, have, cached = _read_checked(index_path, _parse_index)
+    refs, n_classes, have, cached = read_json(index_path, _parse_index)
     for kind in kinds:
         if kind not in have:
             raise PipelineError(f"feature kind {kind!r} was not extracted (have {sorted(have)})")
@@ -287,59 +269,38 @@ def cmd_train(cfg: dict, out_dir, run_name: str | None = None) -> Path:
     return run_dir
 
 
-def _check_checkpoint(path: Path, params: dict[str, np.ndarray],
-                      expected: dict[str, tuple[int, ...]]) -> None:
-    """Refuse a checkpoint whose names or shapes differ from the run's model."""
-    got = {name: p.shape for name, p in params.items()}
-    if got != expected:
-        name = min(n for n in expected.keys() | got.keys() if expected.get(n) != got.get(n))
-        raise PipelineError(f"checkpoint {path} does not match the run's model config: "
-                            f"{name} is {got.get(name)} there, {expected.get(name)} in the config")
-
-
-def _parse_run_info(info: dict) -> tuple[tuple[str, ...], int]:
-    kinds = tuple(info["feature_kinds"])
-    if not kinds or not all(k in features.KINDS for k in kinds):
-        raise ValueError(f"feature_kinds must list stft|mel|cqt, got {kinds!r}")
-    return kinds, int(info["n_classes"])
-
-
-def _parse_run_config(cfg: dict, kinds: tuple[str, ...], n_classes: int):
-    """The run's config, its encoder configs and the parameter shapes they
-    make, after checking what ``_read_index`` reads: the cache blocks and the split."""
+def _load_run(out_dir: Path, run_name: str):
+    """A run's dir, the cache's split and class count, the encoder configs,
+    feature stats and parameters, all checked against the run's config."""
+    run_dir = Path(out_dir) / "runs" / run_name
+    if not (run_dir / "checkpoint.iclc").exists():
+        raise PipelineError(f"run {run_dir} has no checkpoint; train it first")
+    cfg = read_json(run_dir / "resolved_config.json", validate_config)
+    kinds = train_settings(cfg).feature_kinds
+    assignment, n_classes = _read_index(cfg, Path(out_dir), kinds)
+    stats = read_json(run_dir / "stats.json", lambda doc: {
+        k: features.FeatureStats(k, float(doc[k]["mean"]), float(doc[k]["std"])) for k in kinds})
     enc_cfgs = encoder_configs(cfg, kinds)
     shapes = {}
     for kind, enc in enc_cfgs.items():
         shapes.update(model.encoder_param_shapes(enc, prefix=kind))
     shapes.update({"head/w": (n_classes, enc.embedding_dim), "head/b": (n_classes,)})
-    _cache_config(cfg)
-    audio.split_track_disjoint([], tuple(cfg["split"]["ratios"]))
-    # A null seed would make the split draw from fresh entropy, unseen.
-    if not isinstance(cfg["seed"], int):
-        raise TypeError(f"seed must be an integer, got {cfg['seed']!r}")
-    return cfg, enc_cfgs, shapes
-
-
-def _load_run(out_dir: Path, run_name: str):
-    run_dir = Path(out_dir) / "runs" / run_name
-    if not (run_dir / "checkpoint.iclc").exists():
-        raise PipelineError(f"run {run_dir} has no checkpoint; train it first")
-    kinds, n_classes = _read_checked(run_dir / "run.json", _parse_run_info)
-    stats = _read_checked(run_dir / "stats.json", lambda doc: {
-        k: features.FeatureStats(k, float(doc[k]["mean"]), float(doc[k]["std"])) for k in kinds})
-    cfg, enc_cfgs, shapes = _read_checked(run_dir / "resolved_config.json",
-                                          lambda doc: _parse_run_config(doc, kinds, n_classes))
     params = load_checkpoint(run_dir / "checkpoint.iclc")
-    _check_checkpoint(run_dir / "checkpoint.iclc", params, shapes)
-    return run_dir, cfg, n_classes, enc_cfgs, stats, params
+    got = {name: p.shape for name, p in params.items()}
+    if got != shapes:
+        name = min(n for n in shapes.keys() | got.keys() if shapes.get(n) != got.get(n))
+        raise PipelineError(f"checkpoint {run_dir / 'checkpoint.iclc'} does not match the run's "
+                            f"model config: {name} is {got.get(name)} there, "
+                            f"{shapes.get(name)} in the config")
+    return run_dir, assignment, n_classes, enc_cfgs, stats, params
 
 
 def cmd_eval(out_dir, run_name: str) -> dict:
     """Test-split metrics for a trained run: accuracy, confusion, per-sample probs."""
     out_dir = Path(out_dir)
-    run_dir, cfg, n_classes, enc_cfgs, stats, params = _load_run(out_dir, run_name)
+    run_dir, assignment, n_classes, enc_cfgs, stats, params = _load_run(out_dir, run_name)
     kinds = tuple(enc_cfgs)
-    refs = _read_index(cfg, out_dir, kinds)[0].test
+    refs = assignment.test
     probs = training.predict_proba(params, enc_cfgs, kinds,
                                    _read_normalized(out_dir, kinds, refs, stats))
     preds = np.argmax(probs, axis=1)
@@ -366,9 +327,9 @@ def cmd_cam(out_dir, run_name: str, split: str = "test", index: int = 0,
     Reads only that segment's cache file per kind.
     """
     out_dir = Path(out_dir)
-    run_dir, cfg, _, enc_cfgs, stats, params = _load_run(out_dir, run_name)
+    run_dir, assignment, _, enc_cfgs, stats, params = _load_run(out_dir, run_name)
     kinds = tuple(enc_cfgs)
-    refs = getattr(_read_index(cfg, out_dir, kinds)[0], split)
+    refs = getattr(assignment, split)
     ids = [r.segment_id for r in refs]
     if segment_id is not None:
         if segment_id not in ids:

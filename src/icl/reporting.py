@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IclError, read_json
+from .errors import IclError, is_int, read_json
 from .losses import ensemble_predict
 from .metrics import ConfusionMatrix
 
@@ -69,6 +69,29 @@ METHOD_BY_MODE = {"icl": "contrastive", "mel": "baseline", "cqt": "baseline",
 FEATURES_BY_MODE = {"icl": "mel+cqt", "mel": "mel", "cqt": "cqt", "stft": "stft"}
 
 
+def _check_run_info(info: dict) -> dict:
+    """run.json as the report reads it: a known mode, an integer seed, a numeric alpha."""
+    mode, seed, alpha = info["mode"], info["seed"], info.get("alpha", 0.0)
+    if not (mode in METHOD_BY_MODE and is_int(seed) and (is_int(alpha) or type(alpha) is float)):
+        raise ValueError(f"mode {mode!r}, seed {seed!r} or alpha {alpha!r} is not "
+                         "icl|mel|cqt|stft, an integer and a number")
+    return info
+
+
+def _check_eval(ev: dict) -> dict:
+    """eval.json as the report reads it: a float accuracy, and per sample a
+    string id, an integer label and probabilities that sum to 1."""
+    if not isinstance(ev["accuracy"], float):
+        raise TypeError(f"accuracy must be a float, got {ev['accuracy']!r}")
+    for s in ev["samples"]:
+        probs = np.asarray(s["probs"], dtype=np.float64)
+        if not (isinstance(s["segment_id"], str) and is_int(s["label"]) and probs.ndim == 1
+                and abs(probs.sum() - 1.0) <= 1e-6):
+            raise ValueError(f"sample {s['segment_id']!r} needs a string id, an integer label "
+                             "and probs that sum to 1")
+    return ev
+
+
 def _read_runs(run_dirs: list[Path]) -> list[tuple[str, dict, dict]]:
     """(name, run.json, eval.json) of each evaluated run."""
     runs = []
@@ -76,8 +99,8 @@ def _read_runs(run_dirs: list[Path]) -> list[tuple[str, dict, dict]]:
         if not (run_dir / "eval.json").exists() or not (run_dir / "run.json").exists():
             raise ReportError(f"run {run_dir} is missing eval.json or run.json; "
                               "run `icl eval` on it first")
-        runs.append((run_dir.name, read_json(run_dir / "run.json"),
-                     read_json(run_dir / "eval.json")))
+        runs.append((run_dir.name, read_json(run_dir / "run.json", _check_run_info),
+                     read_json(run_dir / "eval.json", _check_eval)))
     return runs
 
 
@@ -104,7 +127,7 @@ def ensemble_rows(runs: list[tuple[str, dict, dict]]) -> list[dict]:
         total = 0
         for s in pair["cqt"]["samples"]:
             mate = mel_by_id.get(s["segment_id"])
-            if mate is None:
+            if mate is None or len(mate["probs"]) != len(s["probs"]):
                 raise ReportError(f"seed {seed}: mel/cqt eval sample sets differ")
             pred = ensemble_predict(np.asarray(mate["probs"]), np.asarray(s["probs"]))
             correct += int(pred == s["label"])

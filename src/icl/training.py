@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses, model
 from .autodiff import Tensor
-from .errors import IclError
+from .errors import IclError, is_int
 from .optim import AdamW, NonFiniteGradientError
 
 MODE_ICL = "icl"
@@ -42,6 +42,9 @@ class TrainSettings:
     def __post_init__(self):
         if self.mode not in (MODE_ICL,) + BASELINE_MODES:
             raise TrainingError(f"mode must be icl|mel|cqt|stft, got {self.mode!r}")
+        for name in ("epochs", "batch_size"):
+            if not is_int(getattr(self, name)):
+                raise TrainingError(f"{name} must be an integer, got {getattr(self, name)!r}")
         least = 2 if self.mode == MODE_ICL else 1
         if self.batch_size < least:
             raise TrainingError(f"batch_size must be >= {least} in {self.mode} mode, "

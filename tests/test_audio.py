@@ -281,11 +281,3 @@ def test_manifest_roundtrip_with_wavs(tmp_path):
     assert [t.track_id for t in loaded] == [t.track_id for t in tracks]
     assert all(t.label == o.label for t, o in zip(loaded, tracks))
 
-
-def test_manifest_synthesis_entries(tmp_path):
-    spec = make_spec()
-    entries = [{"track_id": "alpha", "synthesis": {"index": 1}, "label": 1}]
-    audio.write_manifest(tmp_path / "m.json", entries, synthesis=spec)
-    loaded = audio.load_manifest(tmp_path / "m.json")
-    assert loaded[0].track_id == "alpha"
-    assert np.array_equal(loaded[0].samples, synthesize_track(spec, 1, 1).samples)

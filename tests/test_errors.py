@@ -20,7 +20,7 @@ import icl
 from conftest import micro_config
 from icl import audio, checkpoint, cli, features, pipeline, wavio
 from icl.audio import AudioError, SplitError
-from icl.config import ConfigError
+from icl.config import ConfigError, resolve_config, validate_config
 from icl.errors import IclError
 from icl.features import FeatureError
 from icl.model import ModelError
@@ -75,6 +75,19 @@ def test_config_errors_come_from_the_typed_settings(override, field, source):
     ("dataset.synthesis.seed=3", "dataset.synthesis.seed: unknown config key"),
     ("features.mel.n_filters=abc", "features: malformed value"),
     ("dataset.manifest=7", "dataset: malformed value"),
+    # Integer settings refuse other numbers and booleans.
+    ("seed=null", "seed: must be an integer >= 0, got None"),
+    ("seed=1.5", "seed: must be an integer >= 0, got 1.5"),
+    ("training.epochs=2.5", "training.epochs must be an integer, got 2.5"),
+    ("training.epochs=true", "training.epochs must be an integer, got True"),
+    ("training.batch_size=8.5", "training.batch_size must be an integer, got 8.5"),
+    ("encoder.stem_channels=4.5", "encoder.stem_channels must be integers >= 1, got 4.5"),
+    ('encoder.blocks_per_stage=["a","a"]', "encoder.blocks_per_stage must be integers >= 1"),
+    ("encoder.blocks_per_stage=[1.5,1]", "encoder.blocks_per_stage must be integers >= 1"),
+    ("encoder.channel_widths=[4,8.0]", "encoder.channel_widths must be integers >= 1"),
+    ("features.fft_size=64.5", "features.fft_size must be an integer or null, got 64.5"),
+    ("features.mel.n_filters=12.5",
+     "features: malformed value: TypeError('features.mel.n_filters must be an integer"),
 ])
 def test_config_document_errors_end_in_one_error_line(tmp_path, capsys, override, message):
     argv = ["synth", "--out", str(tmp_path / "out"), "--preset", "desk", "--set", override]
@@ -82,6 +95,36 @@ def test_config_document_errors_end_in_one_error_line(tmp_path, capsys, override
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and len(err.strip().splitlines()) == 1, err
     assert not (tmp_path / "out").exists()
+
+
+def _integer_leaves(doc, path=()):
+    """(key path, value) of every integer leaf and integer list entry of doc."""
+    for key, value in doc.items():
+        where = path + (key,)
+        if isinstance(value, dict):
+            yield from _integer_leaves(value, where)
+        elif isinstance(value, list):
+            yield from ((where + (i,), v) for i, v in enumerate(value) if type(v) is int)
+        elif type(value) is int:
+            yield where, value
+
+
+@pytest.mark.parametrize("preset", [None, "desk"])
+def test_every_integer_setting_refuses_other_numbers_and_booleans(preset):
+    base = resolve_config(preset=preset, overrides=['dataset.synthesis={"n_classes":1}'], env={})
+    leaves = [(where, value) for where, value in _integer_leaves(base)
+              if where[:2] != ("dataset", "synthesis")]
+    assert {where[:2] for where, _ in leaves} >= {("seed",), ("features", "mel"),
+                                                  ("encoder", "blocks_per_stage"),
+                                                  ("training", "epochs")}
+    for where, value in leaves:
+        for bad in (value + 0.5, True):
+            cfg = copy.deepcopy(base)
+            _get(cfg, where[:-1])[where[-1]] = bad
+            with pytest.raises(ConfigError) as exc:
+                validate_config(cfg)
+            name = [k for k in where if isinstance(k, str)][-1]
+            assert name in str(exc.value), (where, bad, exc.value)
 
 
 # -- binary readers: any byte string parses or raises an IclError ---------------
@@ -177,11 +220,12 @@ def _get(doc, path):
 def json_fuzz_run(micro_run, tmp_path_factory):
     out = tmp_path_factory.mktemp("json_fuzz") / "out"
     shutil.copytree(micro_run[0], out)
+    pipeline.cmd_eval(out, micro_run[1])
     return out, micro_run[1], micro_run[2]
 
 
 @pytest.mark.parametrize("victim", ["features/index.json", "runs/{run}/run.json",
-                                    "runs/{run}/stats.json",
+                                    "runs/{run}/eval.json", "runs/{run}/stats.json",
                                     "runs/{run}/resolved_config.json"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -205,6 +249,8 @@ def test_json_artifact_fuzz(json_fuzz_run, victim, data):
     try:
         if path.name == "index.json":
             pipeline.load_dataset(cfg, out, ("mel", "cqt"))
+        elif path.name in ("run.json", "eval.json"):
+            pipeline.cmd_report(out)
         else:
             pipeline.cmd_eval(out, run_name)
     except IclError:

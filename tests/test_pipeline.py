@@ -125,7 +125,8 @@ def _micro_args(*extra: str) -> list[str]:
 
 
 @pytest.mark.parametrize("victim, content, command", [
-    ("runs/{run}/run.json", "{not json", "eval"),
+    ("runs/{run}/run.json", "{not json", "report"),
+    ("runs/{run}/eval.json", "[", "report"),
     ("features/index.json", '{"kinds": [', "eval"),
     ("runs/{run}/checkpoint.iclc", "ICLC\x01", "eval"),
     ("manifest.json", "tracks: none", "extract"),
@@ -136,11 +137,14 @@ def test_damaged_artifact_ends_in_one_error_line(micro_run, tmp_path, capsys,
     out = tmp_path / "out"
     shutil.copytree(micro_run[0], out)
     path = out / victim.format(run=micro_run[1])
-    path.write_text(content)
-    if command == "eval":
+    if command == "report":
+        pipeline.cmd_eval(out, micro_run[1])
+        argv = ["report", "--out", str(out)]
+    elif command == "eval":
         argv = ["eval", "--out", str(out), "--run", micro_run[1]]
     else:
         argv = ["extract", "--out", str(out), *_micro_args(f"dataset.manifest={path}")]
+    path.write_text(content)
     assert path.name in _one_error_line(capsys, argv)
 
 
@@ -164,27 +168,69 @@ def _null_seed(cfg):
     cfg["seed"] = None
 
 
+def _unknown_key(cfg):
+    cfg["training"]["symmetric_icl"] = True
+
+
+def _text_epochs(cfg):
+    cfg["training"]["epochs"] = "x"
+
+
+def _drop_mode(info):
+    del info["mode"]
+
+
+def _unknown_mode(info):
+    info["mode"] = "xyz"
+
+
+def _drop_accuracy(ev):
+    del ev["accuracy"]
+
+
 @pytest.mark.parametrize("victim, edit, command", [
     ("features/index.json", _drop_segments, "train"),
     ("features/index.json", _null_kind, "train"),
     ("runs/{run}/stats.json", _drop_mel_std, "eval"),
     ("runs/{run}/resolved_config.json", _drop_split, "eval"),
     ("runs/{run}/resolved_config.json", _null_seed, "eval"),
+    ("runs/{run}/resolved_config.json", _unknown_key, "eval"),
+    ("runs/{run}/resolved_config.json", _unknown_key, "cam"),
+    ("runs/{run}/resolved_config.json", _text_epochs, "eval"),
+    ("runs/{run}/resolved_config.json", _text_epochs, "cam"),
+    ("runs/{run}/run.json", _drop_mode, "report"),
+    ("runs/{run}/run.json", _unknown_mode, "report"),
+    ("runs/{run}/eval.json", _drop_accuracy, "report"),
 ])
 def test_json_artifact_of_wrong_structure_ends_in_one_error_line(
         micro_run, tmp_path, capsys, victim, edit, command):
     out = tmp_path / "out"
     shutil.copytree(micro_run[0], out)
+    if command == "report":
+        pipeline.cmd_eval(out, micro_run[1])
     path = out / victim.format(run=micro_run[1])
     doc = json.loads(path.read_text())
     edit(doc)
     path.write_text(json.dumps(doc))
-    if command == "eval":
-        argv = ["eval", "--out", str(out), "--run", micro_run[1]]
-    else:
-        argv = ["train", "--out", str(out), *_micro_args()]
-    err = _one_error_line(capsys, argv)
+    argv = {"eval": ["eval", "--out", str(out), "--run", micro_run[1]],
+            "cam": ["cam", "--out", str(out), "--run", micro_run[1]],
+            "report": ["report", "--out", str(out)]}.get(command)
+    err = _one_error_line(capsys, argv or ["train", "--out", str(out), *_micro_args()])
     assert f"{path} is malformed" in err
+
+
+def test_eval_and_cam_read_no_run_json(micro_run, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(micro_run[0], out)
+    (out / "runs" / micro_run[1] / "run.json").unlink()
+    assert main(["eval", "--out", str(out), "--run", micro_run[1]]) == 0
+    assert main(["cam", "--out", str(out), "--run", micro_run[1]]) == 0
+
+
+def test_extract_without_a_manifest_ends_in_one_error_line(tmp_path, capsys):
+    err = _one_error_line(capsys, ["extract", "--out", str(tmp_path), *_micro_args()])
+    assert "run `icl synth` first or set dataset.manifest" in err
+    assert not (tmp_path / "features").exists()
 
 
 @pytest.mark.parametrize("key, value", [
