@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import audio, features, model, training
-from .errors import IclError, is_int, read_json
+from .errors import IclError, is_finite, is_int, read_json
 
 
 class ConfigError(IclError):
@@ -227,6 +227,10 @@ def validate_config(cfg: dict) -> dict:
             if not is_int(value):
                 raise TypeError(f"features.{block}.{key} must be an integer, got {value!r}")
             _check(value >= 1, f"features.{block}.{key}", "must be >= 1")
+        f_min, f_max = feats["cqt"]["f_min"], feats["cqt"]["f_max"]
+        _check(is_finite(f_min), "features.cqt.f_min", f"must be a finite number, got {f_min!r}")
+        _check(f_max is None or is_finite(f_max), "features.cqt.f_max",
+               f"must be a finite number or null, got {f_max!r}")
 
     with _block("dataset"):
         ds = cfg["dataset"]

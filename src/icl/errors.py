@@ -1,7 +1,8 @@
 """``IclError``, the root of every exception class in ``icl``; the one JSON
-reader, which raises it; and the integer test the typed settings share."""
+reader, which raises it; and the number tests the typed settings share."""
 
 import json
+import math
 import numbers
 from pathlib import Path
 
@@ -31,3 +32,9 @@ def read_json(path, parse=None):
 def is_int(value) -> bool:
     """An integer, but not a bool: JSON ``true`` must not count as 1."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """A finite real number, but not a bool: JSON ``NaN`` and ``true`` are refused."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))

@@ -4,21 +4,28 @@ One code path serves both: the contrastive mode runs two encoders (one
 per feature kind), sums their embeddings for the shared linear head,
 and adds the similarity-matrix term with weight alpha; baseline modes
 run a single encoder with plain cross-entropy (alpha forced to 0).
-Everything is seeded and single-threaded per step, so identical
-configurations produce bit-identical histories and checkpoints.
+
+A contrastive training step runs the two encoders concurrently, the Mel
+encoder on the calling thread and the CQT encoder on one helper thread,
+forward and backward; the head, the loss and AdamW run on the calling
+thread. The encoders share no tensor, and each one's graph sums the same
+terms in the same order as one backward through the whole model, so
+identical configurations produce bit-identical histories and checkpoints.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import autodiff as ad
 from . import losses, model
 from .autodiff import Tensor
-from .errors import IclError, is_int
+from .errors import IclError, is_finite, is_int
 from .optim import AdamW, NonFiniteGradientError
 
 MODE_ICL = "icl"
@@ -45,6 +52,9 @@ class TrainSettings:
         for name in ("epochs", "batch_size"):
             if not is_int(getattr(self, name)):
                 raise TrainingError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("lr", "weight_decay", "alpha"):
+            if not is_finite(getattr(self, name)):
+                raise TrainingError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         least = 2 if self.mode == MODE_ICL else 1
         if self.batch_size < least:
             raise TrainingError(f"batch_size must be >= {least} in {self.mode} mode, "
@@ -106,18 +116,74 @@ def init_model_params(kinds: tuple[str, ...], enc_cfgs: dict[str, model.EncoderC
     return params
 
 
+def _encoder_params(params: dict[str, Tensor], kind: str) -> dict[str, Tensor]:
+    return {n: t for n, t in params.items() if n.startswith(f"{kind}/")}
+
+
 def _forward(params: dict[str, Tensor], enc_cfgs, kinds, batches: dict[str, np.ndarray]):
     """Run every encoder, sum the embeddings, classify."""
     outputs = {}
     embedding = None
     for kind in kinds:
-        out = model.encoder_forward(
-            {n: t for n, t in params.items() if n.startswith(f"{kind}/")},
-            enc_cfgs[kind], Tensor(batches[kind]))
+        out = model.encoder_forward(_encoder_params(params, kind), enc_cfgs[kind],
+                                    Tensor(batches[kind]))
         outputs[kind] = out
         embedding = out.embedding if embedding is None else ad.add(embedding, out.embedding)
     logits = model.classify(embedding, params)
     return logits, outputs
+
+
+def _concurrently(calls: list) -> list:
+    """The results of ``calls``: the first runs here, each other one on a
+    thread of its own. Every call has finished before this returns or
+    raises the exception of the first call in ``calls`` that failed, so no
+    thread is still writing ``.grad`` after a failed step."""
+    results: list = [None] * len(calls)
+    errors: list = [None] * len(calls)
+
+    def run(i: int) -> None:
+        try:
+            results[i] = calls[i]()
+        except BaseException as exc:  # re-raised below, on the calling thread
+            errors[i] = exc
+
+    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, len(calls))]
+    for t in helpers:
+        t.start()
+    run(0)
+    for t in helpers:
+        t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
+def _backward_from(out: Tensor, grad: np.ndarray) -> None:
+    """Backward through ``out``'s graph with ``grad`` as its gradient, exactly:
+    d(sum(out * grad))/d(out) is ``1 * grad``."""
+    ad.backward(ad.sum_all(ad.mul(out, Tensor(grad))))
+
+
+def _train_step(params: dict[str, Tensor], enc_cfgs, kinds,
+                batches: dict[str, np.ndarray], labels: np.ndarray,
+                alpha: float) -> losses.LossBreakdown:
+    """Forward and backward of one batch; the parameters' ``.grad`` equal one
+    backward through ``_forward``. The encoders run concurrently; the head and
+    the loss run on leaf copies of the embeddings, whose gradients then seed
+    each encoder's backward. The graph is freed when this returns."""
+    embs = [out.embedding for out in _concurrently([
+        partial(model.encoder_forward, _encoder_params(params, kind), enc_cfgs[kind],
+                Tensor(batches[kind])) for kind in kinds])]
+    leaves = [Tensor(e.data, requires_grad=True) for e in embs]
+    embedding = leaves[0]
+    for leaf in leaves[1:]:
+        embedding = ad.add(embedding, leaf)
+    m = losses.cosine_similarity_matrix(*leaves) if alpha > 0 else None
+    total, breakdown = losses.combined_loss(model.classify(embedding, params), labels, m, alpha)
+    ad.backward(total)
+    _concurrently([partial(_backward_from, e, leaf.grad) for e, leaf in zip(embs, leaves)])
+    return breakdown
 
 
 def predict_logits(params, enc_cfgs, kinds, features: dict[str, np.ndarray],
@@ -168,7 +234,7 @@ def train(data: DatasetSplits, enc_cfgs: dict[str, model.EncoderConfig],
 
     n_train = data.split_size("train")
     y_train = data.labels["train"]
-    use_contrastive = settings.mode == MODE_ICL and settings.alpha > 0
+    alpha = settings.alpha if settings.mode == MODE_ICL else 0.0
 
     history: list[EpochRecord] = []
     batch_records: list[dict] = []
@@ -185,14 +251,7 @@ def train(data: DatasetSplits, enc_cfgs: dict[str, model.EncoderConfig],
                 batches = {k: x_train[k][idx] for k in kinds}
                 yb = y_train[idx]
                 try:
-                    logits, outputs = _forward(params, enc_cfgs, kinds, batches)
-                    m = None
-                    if use_contrastive:
-                        m = losses.cosine_similarity_matrix(
-                            outputs[kinds[0]].embedding, outputs[kinds[1]].embedding)
-                    total, breakdown = losses.combined_loss(
-                        logits, yb, m, settings.alpha if use_contrastive else 0.0)
-                    ad.backward(total)
+                    breakdown = _train_step(params, enc_cfgs, kinds, batches, yb, alpha)
                     opt.step()
                     opt.zero_grad()
                 except (ad.NonFiniteError, NonFiniteGradientError) as exc:

@@ -58,7 +58,7 @@ def test_cli_catches_exactly_the_root_and_oserror():
     ("split.ratios=[1,0,0]", "split.ratios", SplitError),
     ("split.ratios=[0.5,0.3,0.3]", "split.ratios", SplitError),
     ("segmentation.overlap=1.5", "segmentation.overlap", AudioError),
-    ("training.alpha=abc", "training", TypeError),
+    ("training.alpha=abc", "training.alpha", TrainingError),
 ])
 def test_config_errors_come_from_the_typed_settings(override, field, source):
     with pytest.raises(ConfigError) as exc:
@@ -88,6 +88,21 @@ def test_config_errors_come_from_the_typed_settings(override, field, source):
     ("features.fft_size=64.5", "features.fft_size must be an integer or null, got 64.5"),
     ("features.mel.n_filters=12.5",
      "features: malformed value: TypeError('features.mel.n_filters must be an integer"),
+    # Real settings refuse non-numbers, booleans and non-finite values.
+    ("training.alpha=NaN", "training.alpha must be a finite number, got nan"),
+    ("training.alpha=Infinity", "training.alpha must be a finite number, got inf"),
+    ("training.alpha=true", "training.alpha must be a finite number, got True"),
+    ("training.lr=abc", "training.lr must be a finite number, got 'abc'"),
+    ("training.lr=null", "training.lr must be a finite number, got None"),
+    ("training.weight_decay=NaN", "training.weight_decay must be a finite number, got nan"),
+    ("training.weight_decay=[0]", "training.weight_decay must be a finite number, got [0]"),
+    ("features.cqt.f_min=abc", "features.cqt.f_min: must be a finite number, got 'abc'"),
+    ("features.cqt.f_min=NaN", "features.cqt.f_min: must be a finite number, got nan"),
+    ("features.cqt.f_min=null", "features.cqt.f_min: must be a finite number, got None"),
+    ("features.cqt.f_max=abc", "features.cqt.f_max: must be a finite number or null, got 'abc'"),
+    ("features.cqt.f_max=-Infinity",
+     "features.cqt.f_max: must be a finite number or null, got -inf"),
+    ("features.cqt.f_max=false", "features.cqt.f_max: must be a finite number or null, got False"),
 ])
 def test_config_document_errors_end_in_one_error_line(tmp_path, capsys, override, message):
     argv = ["synth", "--out", str(tmp_path / "out"), "--preset", "desk", "--set", override]

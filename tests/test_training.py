@@ -1,12 +1,22 @@
 """Training loop behavior: determinism, alpha semantics, checkpointing."""
 
+import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from icl import training
+import icl
+from icl import losses, pipeline, training
 from icl.checkpoint import load_checkpoint, save_checkpoint
+from icl.config import resolve_config
 from icl.model import EncoderConfig
 from icl.optim import AdamW
 from icl.training import (DatasetSplits, TrainingError, TrainSettings,
@@ -48,6 +58,102 @@ def test_training_is_deterministic(tmp_path):
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
     for name in run1.best_params:
         assert np.array_equal(run1.best_params[name], run2.best_params[name])
+
+
+def test_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """`icl train` in a fresh process at 1 and at 2 BLAS threads writes the
+    same checkpoint and metrics: importing icl pins BLAS to one thread."""
+    data = tmp_path / "data"
+    cfg = resolve_config(preset="desk", env={})
+    pipeline.cmd_synth(cfg, data)
+    pipeline.cmd_extract(cfg, data)
+    src = str(Path(icl.__file__).parents[1])
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        shutil.copytree(data, out)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "icl.cli", "train", "--out", str(out),
+                        "--preset", "desk", "--set", "training.epochs=1", "--run-name", "r"],
+                       env=env, check=True, capture_output=True)
+        written.append({name: hashlib.sha256((out / "runs" / "r" / name).read_bytes()).hexdigest()
+                        for name in ("checkpoint.iclc", "metrics.jsonl")})
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("kinds, alpha", [(("mel", "cqt"), 0.5), (("mel", "cqt"), 0.0),
+                                          (("mel",), 0.0)])
+def test_concurrent_step_gives_the_whole_graph_gradients(kinds, alpha):
+    """One float32 step: the concurrent encoders' gradients are bit-identical
+    to those of one backward through the whole graph of ``_forward``."""
+    data = toy_data(n_train=8)
+    params = training.init_model_params(kinds, TINY_CFG, data.n_classes, seed=0)
+    for p in params.values():
+        p.data = p.data.astype(np.float32)
+    batches = {k: data.features[k]["train"].astype(np.float32) for k in kinds}
+    labels = data.labels["train"]
+    logits, outputs = training._forward(params, TINY_CFG, kinds, batches)
+    m = (losses.cosine_similarity_matrix(outputs["mel"].embedding, outputs["cqt"].embedding)
+         if alpha > 0 else None)
+    total, want = losses.combined_loss(logits, labels, m, alpha)
+    training.ad.backward(total)
+    grads = {n: p.grad for n, p in params.items()}
+    for p in params.values():
+        p.grad = None
+    got = training._train_step(params, TINY_CFG, kinds, batches, labels, alpha)
+    assert got == want
+    for name, p in params.items():
+        assert p.grad.dtype == np.float32 and np.array_equal(p.grad, grads[name]), name
+
+
+@pytest.mark.parametrize("bad", ["mel", "cqt"])
+def test_nonfinite_encoder_ends_the_step_after_both_encoders(monkeypatch, bad):
+    """A non-finite batch of either kind ends in the TrainingError naming the
+    step, and only once the other encoder, held back here, has finished."""
+    data = toy_data()
+    data.features[bad]["train"][:] = np.nan
+    finished = []
+    forward = training.model.encoder_forward
+
+    def slow_forward(params, cfg, x):
+        if cfg.input_kind != bad:
+            time.sleep(0.2)
+        try:
+            return forward(params, cfg, x)
+        finally:
+            finished.append(cfg.input_kind)
+
+    monkeypatch.setattr(training.model, "encoder_forward", slow_forward)
+    threads = set(threading.enumerate())
+    with pytest.raises(TrainingError, match=r"epoch 1, batch 0: non-finite values in output"):
+        train(data, TINY_CFG, settings())
+    assert sorted(finished) == ["cqt", "mel"]
+    assert set(threading.enumerate()) == threads
+
+
+def fail_with(message):
+    raise ValueError(message)
+
+
+def test_concurrently_waits_for_the_helper_before_raising():
+    done = threading.Event()
+
+    def fail():
+        fail_with("first")
+
+    def slow():
+        time.sleep(0.2)
+        done.set()
+
+    threads = set(threading.enumerate())
+    with pytest.raises(ValueError, match="first"):
+        training._concurrently([fail, slow])
+    assert done.is_set() and set(threading.enumerate()) == threads
+    with pytest.raises(ValueError, match="second"):
+        training._concurrently([lambda: 1, lambda: fail_with("second")])
+    assert training._concurrently([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
 
 
 def test_seed_changes_trajectory():
@@ -155,12 +261,14 @@ def test_predict_logits_on_live_params_is_graph_free(monkeypatch):
 
 def test_training_steps_run_in_float32(monkeypatch):
     """One contrastive step: every node of the loss graph, every gradient and
-    AdamW's moments are float32, so nothing is upcast on the way."""
-    seen = {}
+    AdamW's moments are float32, so nothing is upcast on the way. A step
+    runs one backward for the head and one per encoder; the graph is their
+    union."""
+    seen = {"nodes": []}
     backward, step = training.ad.backward, AdamW.step
 
     def spy_backward(loss):
-        seen["nodes"] = training.ad._toposort(loss)
+        seen["nodes"].extend(training.ad._toposort(loss))
         backward(loss)
 
     def spy_step(opt):
