@@ -14,7 +14,6 @@ one recording land in the same split.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import wavio
-from .errors import IclError, read_json
+from .errors import IclError, is_finite, is_int, read_json, write_json
 
 
 class AudioError(IclError):
@@ -50,10 +49,6 @@ class AudioTrack:
             raise AudioError(f"track {self.track_id}: sample_rate must be positive")
         if not np.all(np.isfinite(self.samples)):
             raise AudioError(f"track {self.track_id}: non-finite samples")
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
 
 
 @dataclass
@@ -90,7 +85,8 @@ class SynthesisSpec:
     line_freqs holds one list of tonal frequencies per class (the low
     band); mod_rates one envelope rate per class. All line frequencies
     must sit below the carrier band so the two cues stay in separate
-    frequency regions.
+    frequency regions. The fields check their own types and store reals
+    as float; snr_db may be +inf, for noise-free tracks.
     """
 
     n_classes: int
@@ -107,23 +103,41 @@ class SynthesisSpec:
     carrier_gain: float = 1.0
 
     def __post_init__(self):
+        for name in ("n_classes", "tracks_per_class", "sample_rate", "seed"):
+            if not is_int(getattr(self, name)):
+                raise AudioError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("mod_depth", "snr_db", "track_duration", "line_gain", "carrier_gain"):
+            value = getattr(self, name)
+            if not (is_finite(value) or name == "snr_db" and value == math.inf):
+                raise AudioError(f"{name} must be a finite number, got {value!r}")
+            setattr(self, name, float(value))
+        if not isinstance(self.line_freqs, (list, tuple)):
+            raise AudioError(f"line_freqs must be a list of lists, got {self.line_freqs!r}")
+        self.line_freqs = [_reals(f"line_freqs[{i}]", fs) for i, fs in enumerate(self.line_freqs)]
+        self.mod_rates = _reals("mod_rates", self.mod_rates)
+        self.carrier_band = tuple(_reals("carrier_band", self.carrier_band))
         if self.n_classes < 1 or len(self.line_freqs) != self.n_classes \
                 or len(self.mod_rates) != self.n_classes:
-            raise AudioError("need one line layout and one modulation rate per class")
+            raise AudioError(f"n_classes {self.n_classes} must be >= 1 and equal the number of "
+                             "line_freqs and of mod_rates")
         if self.tracks_per_class < 1 or self.track_duration <= 0:
             raise AudioError("tracks_per_class and track_duration must be positive")
         if not 0.0 <= self.mod_depth <= 1.0:
-            raise AudioError(f"modulation depth {self.mod_depth} outside [0, 1]")
-        lo, hi = self.carrier_band
-        if not 0 < lo < hi <= self.sample_rate / 2:
-            raise AudioError(f"carrier band {self.carrier_band} invalid for sr {self.sample_rate}")
-        for freqs in self.line_freqs:
-            if any(f >= lo for f in freqs):
-                raise AudioError("line-spectrum frequencies must lie below the carrier band")
+            raise AudioError(f"mod_depth {self.mod_depth} outside [0, 1]")
+        if len(self.carrier_band) != 2 \
+                or not 0 < self.carrier_band[0] < self.carrier_band[1] <= self.sample_rate / 2:
+            raise AudioError(f"carrier_band {self.carrier_band} invalid for sr {self.sample_rate}")
+        lo = self.carrier_band[0]
+        if any(f >= lo for freqs in self.line_freqs for f in freqs):
+            raise AudioError("line_freqs must lie below the carrier band")
         if any(r >= lo / 4 for r in self.mod_rates):
-            raise AudioError("modulation rates must be far below the carrier frequencies")
-        if math.isnan(self.snr_db):
-            raise AudioError("SNR must not be NaN")
+            raise AudioError("mod_rates must be far below the carrier frequencies")
+
+
+def _reals(name: str, values) -> list[float]:
+    if not (isinstance(values, (list, tuple)) and all(map(is_finite, values))):
+        raise AudioError(f"{name} must be a list of finite numbers, got {values!r}")
+    return [float(v) for v in values]
 
 
 def _rms(x: np.ndarray) -> float:
@@ -193,24 +207,7 @@ def write_manifest(path, entries: list[dict], synthesis: SynthesisSpec | None = 
     doc = {"tracks": entries}
     if synthesis is not None:
         doc["synthesis_spec"] = asdict(synthesis)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def spec_from_dict(d: dict) -> SynthesisSpec:
-    return SynthesisSpec(
-        n_classes=int(d["n_classes"]),
-        line_freqs=[list(map(float, fs)) for fs in d["line_freqs"]],
-        mod_rates=list(map(float, d["mod_rates"])),
-        mod_depth=float(d["mod_depth"]),
-        carrier_band=(float(d["carrier_band"][0]), float(d["carrier_band"][1])),
-        snr_db=float(d["snr_db"]),
-        tracks_per_class=int(d["tracks_per_class"]),
-        track_duration=float(d["track_duration"]),
-        sample_rate=int(d["sample_rate"]),
-        seed=int(d["seed"]),
-        line_gain=float(d.get("line_gain", 1.0)),
-        carrier_gain=float(d.get("carrier_gain", 1.0)),
-    )
+    write_json(path, doc)
 
 
 def load_manifest(path) -> list[AudioTrack]:
@@ -233,6 +230,9 @@ def segment_tracks(tracks: list[AudioTrack], segment_len: float,
     segment is discarded. Tracks shorter than one segment are skipped and
     counted.
     """
+    for name, value in (("segment_len", segment_len), ("overlap", overlap)):
+        if not is_finite(value):
+            raise AudioError(f"{name} must be a finite number, got {value!r}")
     if not 0 <= overlap < segment_len:
         raise AudioError(f"overlap {overlap} must be in [0, segment_len {segment_len})")
     segments: list[AudioSegment] = []
@@ -275,8 +275,8 @@ def split_track_disjoint(segments: list[AudioSegment],
                          ratios: tuple[float, float, float] = (0.7, 0.15, 0.15),
                          seed: int = 0) -> SplitAssignment:
     """Assign whole tracks (per class, seeded shuffle) to train/val/test."""
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise SplitError(f"ratios must be three positive values, got {ratios}")
+    if len(ratios) != 3 or not all(is_finite(r) and r > 0 for r in ratios):
+        raise SplitError(f"ratios must be three positive finite numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise SplitError(f"ratios must sum to 1, got sum {sum(ratios)!r}")
 

@@ -98,13 +98,6 @@ class Tensor:
         tag = self.name or self._op
         return f"Tensor({tag}, shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Thin conveniences; the module-level functions are the real API.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
 
 def _node(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward) -> Tensor:
     _check_finite(data, op)

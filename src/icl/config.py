@@ -11,7 +11,6 @@ document check their own fields.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import os
 from contextlib import contextmanager
@@ -186,6 +185,16 @@ def frame_config(cfg: dict) -> features.FrameConfig:
                                     fft_size=feats["fft_size"])
 
 
+def synthesis_spec(cfg: dict) -> audio.SynthesisSpec:
+    with _block("dataset.synthesis"):
+        syn = cfg["dataset"]["synthesis"]
+        _check(isinstance(syn, dict), "dataset.synthesis", f"must be an object, got {syn!r}")
+        for key in syn:  # the spec takes its seed from the top-level one
+            _check(key != "seed" and key in audio.SynthesisSpec.__dataclass_fields__,
+                   f"dataset.synthesis.{key}", "unknown config key")
+        return audio.SynthesisSpec(**syn, seed=cfg["seed"])
+
+
 def _check(cond: bool, field: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{field}: {message}")
@@ -236,15 +245,8 @@ def validate_config(cfg: dict) -> dict:
         ds = cfg["dataset"]
         _check(ds["manifest"] is not None or ds["synthesis"] is not None, "dataset",
                "need either a manifest path or synthesis parameters")
-        if ds["synthesis"] is not None:
-            _check(isinstance(ds["synthesis"], dict), "dataset.synthesis", "must be an object")
-            spec_keys = {f.name for f in dataclasses.fields(audio.SynthesisSpec)} - {"seed"}
-            for key in ds["synthesis"]:
-                _check(key in spec_keys, f"dataset.synthesis.{key}", "unknown config key")
         if ds["manifest"] is not None and not isinstance(ds["manifest"], str):
             raise TypeError(f"dataset.manifest must be a path or null, got {ds['manifest']!r}")
+    if cfg["dataset"]["synthesis"] is not None:
+        synthesis_spec(cfg)
     return cfg
-
-
-def save_config(cfg: dict, path) -> None:
-    Path(path).write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")

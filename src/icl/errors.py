@@ -1,9 +1,10 @@
 """``IclError``, the root of every exception class in ``icl``; the one JSON
-reader, which raises it; and the number tests the typed settings share."""
+reader, which raises it, and the one writer; the number tests settings share."""
 
 import json
 import math
 import numbers
+import os
 from pathlib import Path
 
 
@@ -27,6 +28,18 @@ def read_json(path, parse=None):
         raise IclError(f"{path} is malformed: {exc}") from exc
     except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
         raise IclError(f"{path} is malformed: {exc!r}") from exc
+
+
+def write_json(path, doc) -> None:
+    """Write doc as indented JSON with sorted keys, atomically: through a temp file
+    beside path. A doc that does not serialize, or a failed write, leaves path as it was."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def is_int(value) -> bool:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import IclError, is_int
+from .errors import IclError, is_finite, is_int
 
 LOG_FLOOR = 1e-10
 
@@ -57,6 +57,9 @@ class FrameConfig:
     def __post_init__(self):
         if self.fft_size is not None and not is_int(self.fft_size):
             raise FeatureError(f"fft_size must be an integer or null, got {self.fft_size!r}")
+        for name in ("frame_len_ms", "frame_shift_ms"):
+            if not is_finite(getattr(self, name)):
+                raise FeatureError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not 0 < self.frame_shift_ms <= self.frame_len_ms:
             raise FeatureError(f"frame_shift_ms {self.frame_shift_ms} must be in "
                                f"(0, frame_len_ms {self.frame_len_ms}]")
@@ -293,6 +296,11 @@ class FeatureStats:
     kind: str
     mean: float
     std: float
+
+    def __post_init__(self):
+        if not (is_finite(self.mean) and is_finite(self.std) and self.std > 0):
+            raise FeatureError(f"{self.kind} stats need a finite mean and a finite std > 0, "
+                               f"got mean {self.mean!r}, std {self.std!r}")
 
 
 def compute_feature_stats(arrays, kind: str) -> FeatureStats:

@@ -16,7 +16,6 @@ Each stage reads and writes plain artifacts under one output directory:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,9 +23,9 @@ import numpy as np
 
 from . import audio, features, metrics, model, reporting, training
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import (encoder_configs, frame_config, save_config, train_settings,
+from .config import (encoder_configs, frame_config, synthesis_spec, train_settings,
                      validate_config)
-from .errors import IclError, read_json
+from .errors import IclError, read_json, write_json
 
 
 class PipelineError(IclError):
@@ -38,11 +37,6 @@ class PipelineError(IclError):
 # for ``features.kinds``: it only decides which kinds are cached, and a
 # missing kind is refused on its own.
 _CACHE_BLOCKS = ("features", "segmentation")
-
-
-def _cache_config(cfg: dict) -> dict:
-    # The JSON round trip makes it compare equal to the recorded copy.
-    return json.loads(json.dumps({block: cfg[block] for block in _CACHE_BLOCKS}))
 
 
 def _flatten(doc: dict, prefix: str = "") -> dict:
@@ -57,9 +51,7 @@ def _flatten(doc: dict, prefix: str = "") -> dict:
 
 def cmd_synth(cfg: dict, out_dir) -> Path:
     """Generate the synthetic dataset as WAV files plus a manifest."""
-    if cfg["dataset"]["synthesis"] is None:
-        raise PipelineError("config has no dataset.synthesis block")
-    spec = audio.spec_from_dict({**cfg["dataset"]["synthesis"], "seed": cfg["seed"]})
+    spec = synthesis_spec(cfg)
     out_dir = Path(out_dir)
     (out_dir / "wavs").mkdir(parents=True, exist_ok=True)
     entries = []
@@ -69,7 +61,7 @@ def cmd_synth(cfg: dict, out_dir) -> Path:
         entries.append({"track_id": track.track_id, "path": rel, "label": track.label})
     manifest = out_dir / "manifest.json"
     audio.write_manifest(manifest, entries, synthesis=spec)
-    save_config(cfg, out_dir / "resolved_config.json")
+    write_json(out_dir / "resolved_config.json", cfg)
     return manifest
 
 
@@ -139,12 +131,12 @@ def cmd_extract(cfg: dict, out_dir) -> dict:
         "n_classes": max(labels) + 1,
         "skipped_tracks": skipped,
         "feature_geometry": geometry,
-        "config": _cache_config(cfg),
+        "config": {block: cfg[block] for block in _CACHE_BLOCKS},
         "segments": [{"id": s.segment_id, "track": s.parent_track_id,
                       "label": s.label, "offset": s.offset} for s in segments],
     }
-    (feat_dir / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
-    save_config(cfg, out_dir / "resolved_config.json")
+    write_json(feat_dir / "index.json", index)
+    write_json(out_dir / "resolved_config.json", cfg)
     return index
 
 
@@ -179,7 +171,7 @@ def _read_index(cfg: dict, out_dir: Path,
     if cached is None:
         raise PipelineError(f"{index_path} does not record the config it was extracted with; "
                             "re-run `icl extract`")
-    wanted = _flatten(_cache_config(cfg))
+    wanted = _flatten({block: cfg[block] for block in _CACHE_BLOCKS})
     differ = [key for key in sorted(cached.keys() | wanted.keys())
               if key != "features.kinds" and cached.get(key) != wanted.get(key)]
     if differ:
@@ -255,17 +247,16 @@ def cmd_train(cfg: dict, out_dir, run_name: str | None = None) -> Path:
     run = training.train(data, encoder_configs(cfg, kinds), settings,
                          log_path=run_dir / "metrics.jsonl")
     save_checkpoint(run_dir / "checkpoint.iclc", run.best_params)
-    save_config(cfg, run_dir / "resolved_config.json")
-    (run_dir / "stats.json").write_text(json.dumps(
-        {k: {"mean": s.mean, "std": s.std} for k, s in stats.items()},
-        indent=2, sort_keys=True) + "\n")
-    (run_dir / "run.json").write_text(json.dumps({
+    write_json(run_dir / "resolved_config.json", cfg)
+    write_json(run_dir / "stats.json",
+               {k: {"mean": s.mean, "std": s.std} for k, s in stats.items()})
+    write_json(run_dir / "run.json", {
         "mode": settings.mode, "seed": settings.seed,
         "alpha": settings.alpha if settings.mode == training.MODE_ICL else 0.0,
         "epochs": settings.epochs, "feature_kinds": list(kinds),
         "n_classes": data.n_classes, "best_epoch": run.best_epoch,
         "best_val_accuracy": run.best_val_accuracy,
-    }, indent=2, sort_keys=True) + "\n")
+    })
     return run_dir
 
 
@@ -279,7 +270,7 @@ def _load_run(out_dir: Path, run_name: str):
     kinds = train_settings(cfg).feature_kinds
     assignment, n_classes = _read_index(cfg, Path(out_dir), kinds)
     stats = read_json(run_dir / "stats.json", lambda doc: {
-        k: features.FeatureStats(k, float(doc[k]["mean"]), float(doc[k]["std"])) for k in kinds})
+        k: features.FeatureStats(k, doc[k]["mean"], doc[k]["std"]) for k in kinds})
     enc_cfgs = encoder_configs(cfg, kinds)
     shapes = {}
     for kind, enc in enc_cfgs.items():
@@ -316,7 +307,7 @@ def cmd_eval(out_dir, run_name: str) -> dict:
                      "probs": [float(p) for p in row]}
                     for r, lab, pred, row in zip(refs, y, preds, probs)],
     }
-    (run_dir / "eval.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(run_dir / "eval.json", doc)
     return doc
 
 

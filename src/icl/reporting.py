@@ -8,12 +8,11 @@ files byte for byte.
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 
 import numpy as np
 
-from .errors import IclError, is_int, read_json
+from .errors import IclError, is_int, read_json, write_json
 from .losses import ensemble_predict
 from .metrics import ConfusionMatrix
 
@@ -169,5 +168,5 @@ def export_report(run_dirs: list[Path], out_dir) -> dict:
     } for (m, f, a), g in sorted(groups.items(),
                                  key=lambda kv: (_ROW_ORDER.get(kv[0][:2], 99), kv[0][2]))]
     doc = {"rows": rows, "summary": summary}
-    (out_dir / "results.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "results.json", doc)
     return doc

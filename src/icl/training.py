@@ -88,7 +88,6 @@ class TrainRun:
     best_epoch: int
     best_val_accuracy: float
     best_params: dict[str, np.ndarray]
-    batch_losses: list[dict] = field(default_factory=list, repr=False)
 
 
 @dataclass
@@ -210,7 +209,7 @@ def predict_proba(params, enc_cfgs, kinds, features, batch_size: int = 64) -> np
 
 
 def train(data: DatasetSplits, enc_cfgs: dict[str, model.EncoderConfig],
-          settings: TrainSettings, log_path=None, record_batches: bool = False) -> TrainRun:
+          settings: TrainSettings, log_path=None) -> TrainRun:
     """Seeded training with per-epoch validation and best-checkpoint keeping.
 
     Emits one JSON line per epoch (epoch, ce, icl, total, val_accuracy)
@@ -237,7 +236,6 @@ def train(data: DatasetSplits, enc_cfgs: dict[str, model.EncoderConfig],
     alpha = settings.alpha if settings.mode == MODE_ICL else 0.0
 
     history: list[EpochRecord] = []
-    batch_records: list[dict] = []
     best_acc = -1.0
     best_epoch = -1
     best_params: dict[str, np.ndarray] = {}
@@ -261,10 +259,6 @@ def train(data: DatasetSplits, enc_cfgs: dict[str, model.EncoderConfig],
                 sums["ce"] += breakdown.ce * w
                 sums["icl"] += breakdown.icl * w
                 sums["total"] += breakdown.total * w
-                if record_batches:
-                    batch_records.append({"epoch": epoch, "batch": b_idx,
-                                          "ce": breakdown.ce, "icl": breakdown.icl,
-                                          "total": breakdown.total})
 
             val_logits = predict_logits(params, enc_cfgs, kinds, {
                 k: data.features[k]["val"] for k in kinds})
@@ -286,5 +280,4 @@ def train(data: DatasetSplits, enc_cfgs: dict[str, model.EncoderConfig],
             log_file.close()
 
     return TrainRun(history=history, best_epoch=best_epoch,
-                    best_val_accuracy=best_acc, best_params=best_params,
-                    batch_losses=batch_records)
+                    best_val_accuracy=best_acc, best_params=best_params)

@@ -143,8 +143,27 @@ def test_synthesis_spec_validation():
         make_spec(mod_depth=1.5)
     with pytest.raises(AudioError, match="duration"):
         make_spec(track_duration=0.0)
-    with pytest.raises(AudioError, match="NaN"):
-        make_spec(snr_db=math.nan)
+    for field, bad, message in [
+            ("snr_db", math.nan, "snr_db must be a finite number, got nan"),
+            ("snr_db", -math.inf, "snr_db must be a finite number, got -inf"),
+            ("n_classes", 2.0, "n_classes must be an integer, got 2.0"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("line_gain", "1", "line_gain must be a finite number, got '1'"),
+            ("line_freqs", [[60.0], 95.0], r"line_freqs\[1\] must be a list of finite numbers"),
+            ("line_freqs", 60.0, "line_freqs must be a list of lists, got 60.0"),
+            ("mod_rates", [4.0, math.nan], "mod_rates must be a list of finite numbers"),
+            ("carrier_band", (400.0,), r"carrier_band \(400.0,\) invalid")]:
+        with pytest.raises(AudioError, match=message):
+            make_spec(**{field: bad})
+
+
+def test_synthesis_spec_stores_reals_as_float():
+    spec = make_spec(line_freqs=[[60, 95], [75, 110]], mod_rates=[4, 8], carrier_band=[400, 900],
+                     snr_db=10, track_duration=4)
+    assert spec.line_freqs == [[60.0, 95.0], [75.0, 110.0]] and spec.carrier_band == (400.0, 900.0)
+    assert all(type(v) is float for v in (*spec.line_freqs[0], *spec.mod_rates, *spec.carrier_band,
+                                          spec.snr_db, spec.track_duration, spec.mod_depth))
+    assert make_spec(snr_db=math.inf).snr_db == math.inf
 
 
 def test_track_invariants():

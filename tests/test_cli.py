@@ -2,17 +2,20 @@
 
 import copy
 import json
+import math
 
 import pytest
 
 from conftest import MICRO_OVERRIDES, micro_config
 from icl import pipeline
+from icl.audio import SynthesisSpec, load_manifest
 from icl.cli import main
-from icl.config import ConfigError, DEFAULT_CONFIG, resolve_config, set_dotted
+from icl.config import ConfigError, DEFAULT_CONFIG, resolve_config, set_dotted, synthesis_spec
+from icl.errors import read_json
 
 
 def test_default_config_carries_reference_hyperparameters():
-    cfg = resolve_config(overrides=['dataset.synthesis={"n_classes":1}'])
+    cfg = resolve_config(overrides=["dataset.manifest=m.json"])
     assert cfg["training"]["lr"] == 5e-4
     assert cfg["training"]["weight_decay"] == 1e-5
     assert cfg["training"]["alpha"] == 0.5
@@ -47,11 +50,11 @@ def test_dotted_overrides_parse_json():
 
 
 def test_icl_seed_environment_override():
-    cfg = resolve_config(overrides=['dataset.synthesis={"n_classes":1}'],
+    cfg = resolve_config(overrides=["dataset.manifest=m.json"],
                          env={"ICL_SEED": "1234"})
     assert cfg["seed"] == 1234
     with pytest.raises(ConfigError, match="ICL_SEED"):
-        resolve_config(overrides=['dataset.synthesis={"n_classes":1}'],
+        resolve_config(overrides=["dataset.manifest=m.json"],
                        env={"ICL_SEED": "not-a-number"})
 
 
@@ -152,6 +155,18 @@ def test_cli_full_pipeline(tmp_path):
     assert main(["report", "--out", str(out)]) == 0
     assert (out / "report" / "results.csv").read_bytes() == before[0]
     assert (out / "report" / "results.json").read_bytes() == before[1]
+
+
+def test_infinite_snr_synthesizes_and_its_manifest_round_trips(tmp_path):
+    out = tmp_path / "inf"
+    assert main(["synth", *micro_args(out, "dataset.synthesis.snr_db=Infinity")]) == 0
+    spec = synthesis_spec(micro_config("dataset.synthesis.snr_db=Infinity"))
+    assert spec.snr_db == math.inf
+    assert read_json(out / "manifest.json",
+                     lambda doc: SynthesisSpec(**doc["synthesis_spec"])) == spec
+    tracks = load_manifest(out / "manifest.json")
+    assert [(t.track_id, t.label) for t in tracks] == [
+        (f"synth_c{c}_t{i}", c) for c in range(3) for i in range(4)]
 
 
 def test_icl_alpha_zero_trains_pure_ce(tmp_path):

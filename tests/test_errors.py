@@ -6,6 +6,7 @@ import copy
 import importlib
 import inspect
 import json
+import math
 import pkgutil
 import shutil
 import tempfile
@@ -21,7 +22,7 @@ from conftest import micro_config
 from icl import audio, checkpoint, cli, features, pipeline, wavio
 from icl.audio import AudioError, SplitError
 from icl.config import ConfigError, resolve_config, validate_config
-from icl.errors import IclError
+from icl.errors import IclError, write_json
 from icl.features import FeatureError
 from icl.model import ModelError
 from icl.training import TrainingError
@@ -103,6 +104,20 @@ def test_config_errors_come_from_the_typed_settings(override, field, source):
     ("features.cqt.f_max=-Infinity",
      "features.cqt.f_max: must be a finite number or null, got -inf"),
     ("features.cqt.f_max=false", "features.cqt.f_max: must be a finite number or null, got False"),
+    ("features.frame_len_ms=Infinity", "features.frame_len_ms must be a finite number, got inf"),
+    ("segmentation.segment_len=Infinity",
+     "segmentation.segment_len must be a finite number, got inf"),
+    ("split.ratios=[NaN,0.5,0.5]",
+     "split.ratios must be three positive finite numbers, got (nan, 0.5, 0.5)"),
+    # The synthesis block checks its own types.
+    ("dataset.synthesis.n_classes=x", "dataset.synthesis.n_classes must be an integer, got 'x'"),
+    ("dataset.synthesis.n_classes=1.5", "dataset.synthesis.n_classes must be an integer, got 1.5"),
+    ("dataset.synthesis.snr_db=loud",
+     "dataset.synthesis.snr_db must be a finite number, got 'loud'"),
+    ("dataset.synthesis.line_gain=NaN",
+     "dataset.synthesis.line_gain must be a finite number, got nan"),
+    ("dataset.synthesis.track_duration=Infinity",
+     "dataset.synthesis.track_duration must be a finite number, got inf"),
 ])
 def test_config_document_errors_end_in_one_error_line(tmp_path, capsys, override, message):
     argv = ["synth", "--out", str(tmp_path / "out"), "--preset", "desk", "--set", override]
@@ -126,7 +141,7 @@ def _integer_leaves(doc, path=()):
 
 @pytest.mark.parametrize("preset", [None, "desk"])
 def test_every_integer_setting_refuses_other_numbers_and_booleans(preset):
-    base = resolve_config(preset=preset, overrides=['dataset.synthesis={"n_classes":1}'], env={})
+    base = resolve_config(preset=preset, overrides=["dataset.manifest=m.json"], env={})
     leaves = [(where, value) for where, value in _integer_leaves(base)
               if where[:2] != ("dataset", "synthesis")]
     assert {where[:2] for where, _ in leaves} >= {("seed",), ("features", "mel"),
@@ -136,6 +151,26 @@ def test_every_integer_setting_refuses_other_numbers_and_booleans(preset):
         for bad in (value + 0.5, True):
             cfg = copy.deepcopy(base)
             _get(cfg, where[:-1])[where[-1]] = bad
+            with pytest.raises(ConfigError) as exc:
+                validate_config(cfg)
+            name = [k for k in where if isinstance(k, str)][-1]
+            assert name in str(exc.value), (where, bad, exc.value)
+
+
+def test_every_real_setting_and_synthesis_field_refuses_non_finite_values_and_non_numbers():
+    base = resolve_config(preset="desk", env={})
+    reals = [where for where in _paths(base) if type(_get(base, where)) is float]
+    fields = [("dataset", "synthesis", key) for key in base["dataset"]["synthesis"]]
+    assert {where[:2] for where in reals} >= {("segmentation", "segment_len"), ("split", "ratios"),
+                                              ("features", "frame_len_ms"), ("training", "lr"),
+                                              ("features", "cqt"), ("dataset", "synthesis")}
+    for where in reals + fields:
+        for bad in (math.nan, math.inf, -math.inf, "x", True):
+            cfg = copy.deepcopy(base)
+            _get(cfg, where[:-1])[where[-1]] = bad
+            if where[-1] == "snr_db" and bad == math.inf:
+                validate_config(cfg)  # noise-free synthesis
+                continue
             with pytest.raises(ConfigError) as exc:
                 validate_config(cfg)
             name = [k for k in where if isinstance(k, str)][-1]
@@ -272,3 +307,40 @@ def test_json_artifact_fuzz(json_fuzz_run, victim, data):
         pass
     finally:
         path.write_text(original)
+
+
+# -- JSON writer: one format, written atomically ------------------------------------
+
+
+def test_every_json_artifact_is_in_the_one_format_with_no_temp_file_left(micro_run, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(micro_run[0], out)
+    pipeline.cmd_eval(out, micro_run[1])
+    pipeline.cmd_report(out)
+    docs = sorted(out.rglob("*.json"))
+    assert {p.name for p in docs} == {"manifest.json", "resolved_config.json", "index.json",
+                                      "stats.json", "run.json", "eval.json", "results.json"}
+    for path in docs:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
+    assert [p for p in out.rglob("*") if p.name.startswith(".") or p.suffix == ".tmp"] == []
+
+
+def test_write_json_of_an_unserializable_doc_leaves_the_old_file(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, {"b": [1.5, None], "a": math.inf})
+    before = path.read_bytes()
+    assert before == b'{\n  "a": Infinity,\n  "b": [\n    1.5,\n    null\n  ]\n}\n'
+    with pytest.raises(TypeError):
+        write_json(path, {"a": object()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_json_is_written_only_through_the_one_writer():
+    """json.dumps appears once in errors.write_json and once in the metrics.jsonl
+    line writer of training.train, and nowhere else in the package."""
+    sources = {p.name: p.read_text() for p in Path(icl.__file__).parent.glob("*.py")}
+    assert {name: text.count("json.dumps") for name, text in sources.items()
+            if "json.dumps" in text} == {"errors.py": 1, "training.py": 1}
+    assert "log_file.write(json.dumps(" in sources["training.py"]

@@ -156,6 +156,18 @@ def _drop_mel_std(stats):
     del stats["mel"]["std"]
 
 
+def _zero_mel_std(stats):
+    stats["mel"]["std"] = 0.0
+
+
+def _negative_mel_std(stats):
+    stats["mel"]["std"] = -1.0
+
+
+def _nan_cqt_mean(stats):
+    stats["cqt"]["mean"] = float("nan")
+
+
 def _null_kind(index):
     index["kinds"][1] = None
 
@@ -192,6 +204,9 @@ def _drop_accuracy(ev):
     ("features/index.json", _drop_segments, "train"),
     ("features/index.json", _null_kind, "train"),
     ("runs/{run}/stats.json", _drop_mel_std, "eval"),
+    ("runs/{run}/stats.json", _zero_mel_std, "eval"),
+    ("runs/{run}/stats.json", _negative_mel_std, "eval"),
+    ("runs/{run}/stats.json", _nan_cqt_mean, "cam"),
     ("runs/{run}/resolved_config.json", _drop_split, "eval"),
     ("runs/{run}/resolved_config.json", _null_seed, "eval"),
     ("runs/{run}/resolved_config.json", _unknown_key, "eval"),

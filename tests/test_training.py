@@ -163,43 +163,61 @@ def test_seed_changes_trajectory():
     assert run1.history != run2.history
 
 
-def test_alpha_zero_equals_plain_ce_batch_for_batch():
+@pytest.fixture
+def batch_losses(monkeypatch):
+    """The LossBreakdown of every training step, in order: losses.combined_loss,
+    wrapped to record what it returns."""
+    records = []
+    combined = losses.combined_loss
+
+    def recorded(*args, **kwargs):
+        total, breakdown = combined(*args, **kwargs)
+        records.append(breakdown)
+        return total, breakdown
+
+    monkeypatch.setattr(losses, "combined_loss", recorded)
+    return records
+
+
+def test_alpha_zero_equals_plain_ce_batch_for_batch(batch_losses):
     data = toy_data()
-    run = train(data, TINY_CFG, settings(alpha=0.0), record_batches=True)
-    assert run.batch_losses, "expected per-batch records"
-    for rec in run.batch_losses:
-        assert rec["icl"] == 0.0
-        assert rec["total"] == rec["ce"]
+    train(data, TINY_CFG, settings(alpha=0.0))
+    assert batch_losses, "expected per-batch records"
+    for rec in batch_losses:
+        assert rec.icl == 0.0
+        assert rec.total == rec.ce
 
 
-def test_alpha_positive_adds_contrastive_term():
+def test_alpha_positive_adds_contrastive_term(batch_losses):
     data = toy_data()
-    run = train(data, TINY_CFG, settings(alpha=0.5), record_batches=True)
-    for rec in run.batch_losses:
-        assert rec["icl"] > 0.0
-        assert abs(rec["total"] - (rec["ce"] + 0.5 * rec["icl"])) < 1e-12
+    train(data, TINY_CFG, settings(alpha=0.5))
+    for rec in batch_losses:
+        assert rec.icl > 0.0
+        assert abs(rec.total - (rec.ce + 0.5 * rec.icl)) < 1e-12
 
 
-def test_contrastive_batch_of_one_trains_on_ce_alone():
+def test_contrastive_batch_of_one_trains_on_ce_alone(batch_losses):
     # 25 = 3 * 8 + 1: the last batch of each epoch holds one sample. Its
     # 1x1 similarity matrix has a contrastive loss of exactly 0.
     data = toy_data(n_train=25)
-    run = train(data, TINY_CFG, settings(alpha=0.5), record_batches=True)
-    for rec in run.batch_losses:
-        if rec["batch"] == 3:
-            assert rec["icl"] == 0.0 and rec["total"] == rec["ce"]
+    train(data, TINY_CFG, settings(alpha=0.5))
+    batches = [step % 4 for step in range(len(batch_losses))]  # 4 batches per epoch
+    for batch, rec in zip(batches, batch_losses):
+        if batch == 3:
+            assert rec.icl == 0.0 and rec.total == rec.ce
         else:
-            assert rec["icl"] > 0.0
-    assert sum(rec["batch"] == 3 for rec in run.batch_losses) == 2
+            assert rec.icl > 0.0
+    assert batches.count(3) == 2
 
 
-def test_baseline_mode_ignores_alpha():
+def test_baseline_mode_ignores_alpha(batch_losses):
     data = toy_data()
-    run_a = train(data, TINY_CFG, settings(mode="mel", alpha=0.9), record_batches=True)
-    run_b = train(data, TINY_CFG, settings(mode="mel", alpha=0.0), record_batches=True)
+    run_a = train(data, TINY_CFG, settings(mode="mel", alpha=0.9))
+    records_a = list(batch_losses)
+    run_b = train(data, TINY_CFG, settings(mode="mel", alpha=0.0))
     assert run_a.history == run_b.history
-    for rec in run_a.batch_losses:
-        assert rec["icl"] == 0.0 and rec["total"] == rec["ce"]
+    for rec in records_a:
+        assert rec.icl == 0.0 and rec.total == rec.ce
 
 
 def test_best_checkpoint_is_latest_max_val_accuracy():
