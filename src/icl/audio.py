@@ -86,7 +86,7 @@ class SynthesisSpec:
     band); mod_rates one envelope rate per class. All line frequencies
     must sit below the carrier band so the two cues stay in separate
     frequency regions. The fields check their own types and store reals
-    as float; snr_db may be +inf, for noise-free tracks.
+    as float; snr_db is at least -200, or +inf for noise-free tracks.
     """
 
     n_classes: int
@@ -111,6 +111,8 @@ class SynthesisSpec:
             if not (is_finite(value) or name == "snr_db" and value == math.inf):
                 raise AudioError(f"{name} must be a finite number, got {value!r}")
             setattr(self, name, float(value))
+        if self.snr_db < -200:  # the noise gain 10^(-snr_db/20) must stay a finite float
+            raise AudioError(f"snr_db must be >= -200 or +inf, got {self.snr_db!r}")
         if not isinstance(self.line_freqs, (list, tuple)):
             raise AudioError(f"line_freqs must be a list of lists, got {self.line_freqs!r}")
         self.line_freqs = [_reals(f"line_freqs[{i}]", fs) for i, fs in enumerate(self.line_freqs)]

@@ -246,26 +246,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                  lambda g: (g @ wd, g.T @ xd, g.sum(axis=0)))
 
 
-def _conv_geometry(h: int, w: int, kh: int, kw: int, sh: int, sw: int, padding: str):
-    if padding == "same":
-        oh = -(-h // sh)
-        ow = -(-w // sw)
-        ph = max((oh - 1) * sh + kh - h, 0)
-        pw = max((ow - 1) * sw + kw - w, 0)
-    elif padding == "valid":
-        _require(h >= kh and w >= kw, "conv2d",
-                 f"input {h}x{w} smaller than kernel {kh}x{kw}")
-        oh = (h - kh) // sh + 1
-        ow = (w - kw) // sw + 1
-        ph = pw = 0
-    else:
-        raise ValueError(f"conv2d: unknown padding {padding!r}")
+def _conv_geometry(h: int, w: int, kh: int, kw: int, sh: int, sw: int):
+    """Output size ceil(h/sh) x ceil(w/sw) and the (before, after) padding per
+    axis that "same" padding needs; an odd pad puts its extra pixel after."""
+    oh = -(-h // sh)
+    ow = -(-w // sw)
+    ph = max((oh - 1) * sh + kh - h, 0)
+    pw = max((ow - 1) * sw + kw - w, 0)
     return oh, ow, (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
-           stride: int | tuple[int, int] = 1, padding: str = "same") -> Tensor:
-    """2-D convolution (cross-correlation), NCHW layout, via im2col.
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int | tuple[int, int] = 1) -> Tensor:
+    """2-D convolution (cross-correlation) with "same" padding and a bias,
+    NCHW layout, via im2col.
 
     The public layout is NCHW, but the unrolled matrix is channels-last:
     ``cols[N*OH*OW, kh*kw*C]`` is gathered from a sliding-window view of
@@ -281,10 +274,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     n, c, h, wid = x.data.shape
     f, cw, kh, kw = w.data.shape
     _require(c == cw, "conv2d", f"input channels {x.data.shape} vs weight {w.data.shape}")
-    if b is not None:
-        _require(b.data.shape == (f,), "conv2d", f"bias {b.data.shape} vs weight {w.data.shape}")
+    _require(b.data.shape == (f,), "conv2d", f"bias {b.data.shape} vs weight {w.data.shape}")
     sh, sw = (stride, stride) if isinstance(stride, int) else stride
-    oh, ow, (pt, pb), (pl, pr) = _conv_geometry(h, wid, kh, kw, sh, sw, padding)
+    oh, ow, (pt, pb), (pl, pr) = _conv_geometry(h, wid, kh, kw, sh, sw)
 
     padded_shape = (n, h + pt + pb, wid + pl + pr, c)
     # Without a border to pad, gather from an NHWC view: a strided 1x1
@@ -300,8 +292,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     wmat = w.data.transpose(0, 2, 3, 1).reshape(f, kh * kw * c)
     out2 = cols @ wmat.T
     out = np.ascontiguousarray(out2.reshape(n, oh, ow, f).transpose(0, 3, 1, 2))
-    if b is not None:
-        out += b.data[None, :, None, None]
+    out += b.data[None, :, None, None]
 
     def back(g: np.ndarray):
         g2 = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, f)
@@ -319,12 +310,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
                         g2 @ wtaps[:, i, j]).reshape(n, oh, ow, c)
             dx = np.ascontiguousarray(
                 dxp[:, pt: pt + h, pl: pl + wid].transpose(0, 3, 1, 2))
-        if b is not None:
-            return dx, dw, g.sum(axis=(0, 2, 3))
-        return dx, dw
+        return dx, dw, g.sum(axis=(0, 2, 3))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _node(out, "conv2d", parents, back)
+    return _node(out, "conv2d", (x, w, b), back)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -233,8 +233,7 @@ def validate_config(cfg: dict) -> dict:
                    f"mode {mode!r} needs {kind!r} in extracted kinds {feats['kinds']}")
         for block, key in (("mel", "n_filters"), ("cqt", "bins_per_octave")):
             value = feats[block][key]
-            if not is_int(value):
-                raise TypeError(f"features.{block}.{key} must be an integer, got {value!r}")
+            _check(is_int(value), f"features.{block}.{key}", f"must be an integer, got {value!r}")
             _check(value >= 1, f"features.{block}.{key}", "must be >= 1")
         f_min, f_max = feats["cqt"]["f_min"], feats["cqt"]["f_max"]
         _check(is_finite(f_min), "features.cqt.f_min", f"must be a finite number, got {f_min!r}")
@@ -245,8 +244,8 @@ def validate_config(cfg: dict) -> dict:
         ds = cfg["dataset"]
         _check(ds["manifest"] is not None or ds["synthesis"] is not None, "dataset",
                "need either a manifest path or synthesis parameters")
-        if ds["manifest"] is not None and not isinstance(ds["manifest"], str):
-            raise TypeError(f"dataset.manifest must be a path or null, got {ds['manifest']!r}")
+        _check(ds["manifest"] is None or isinstance(ds["manifest"], str), "dataset.manifest",
+               f"must be a path or null, got {ds['manifest']!r}")
     if cfg["dataset"]["synthesis"] is not None:
         synthesis_spec(cfg)
     return cfg

@@ -6,7 +6,9 @@ uniform on the Mel axis, to the frame power spectrum and takes log10.
 The CQT is the frame-based spectral-kernel variant: each frame's full
 FFT is inner-producted with the FFT of a Hann-windowed complex
 exponential per geometrically spaced center frequency, and the
-magnitude is kept.
+magnitude is kept. Each transform takes mono samples, their sample rate,
+the framing and, for Mel and CQT, a bank built beforehand for that rate
+and FFT size, and returns the [n_frames, n_bins] matrix.
 
 A small binary cache format ("ICLF") stores extracted features as
 row-major little-endian float32.
@@ -15,7 +17,7 @@ row-major little-endian float32.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -82,21 +84,6 @@ class FrameConfig:
         return n
 
 
-@dataclass
-class Spectrogram:
-    """Time-frequency matrix [n_frames, n_bins] with axis metadata."""
-
-    kind: str
-    values: np.ndarray
-    bin_freqs: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise FeatureError(f"unknown spectrogram kind {self.kind!r}")
-        if not np.all(np.isfinite(self.values)):
-            raise FeatureError(f"non-finite values in {self.kind} spectrogram")
-
-
 def frame_count(n_samples: int, frame: int, shift: int) -> int:
     """Number of full frames: floor((N - frame)/shift) + 1 for N >= frame."""
     if n_samples < frame:
@@ -108,37 +95,32 @@ def hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def _frames(samples: np.ndarray, sample_rate: float, cfg: FrameConfig):
+def _frames(samples: np.ndarray, sample_rate: float, frame: FrameConfig) -> np.ndarray:
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
         raise FeatureError(f"expected mono 1-D samples, got shape {x.shape}")
-    frame = cfg.frame_samples(sample_rate)
-    shift = cfg.shift_samples(sample_rate)
-    n = frame_count(x.size, frame, shift)
-    return sliding_window_view(x, frame)[::shift][:n] * hann(frame)
+    size = frame.frame_samples(sample_rate)
+    shift = frame.shift_samples(sample_rate)
+    n = frame_count(x.size, size, shift)
+    return sliding_window_view(x, size)[::shift][:n] * hann(size)
 
 
-def _resolve_input(segment, sample_rate):
-    """Accept an AudioSegment-like object or a raw sample array."""
-    if hasattr(segment, "samples") and hasattr(segment, "sample_rate"):
-        return np.asarray(segment.samples), float(segment.sample_rate)
-    if sample_rate is None:
-        raise FeatureError("sample_rate is required when passing raw samples")
-    return np.asarray(segment), float(sample_rate)
+def _check_bank(bank, sample_rate: float, frame: FrameConfig) -> None:
+    """A filter or kernel bank serves only the sample rate and FFT size it was built for."""
+    if bank.sample_rate != sample_rate or bank.fft_size != frame.resolve_fft_size(sample_rate):
+        raise FeatureError(f"{type(bank).__name__} was built for a different sample rate "
+                           "or FFT size")
 
 
 # ---------------------------------------------------------------------------
 # STFT
 
 
-def stft(segment, cfg: FrameConfig = FrameConfig(), sample_rate: float | None = None) -> Spectrogram:
-    """One-sided magnitude spectrogram of Hann-windowed frames."""
-    samples, sr = _resolve_input(segment, sample_rate)
-    windowed = _frames(samples, sr, cfg)
-    nfft = cfg.resolve_fft_size(sr)
-    mags = np.abs(np.fft.rfft(windowed, n=nfft, axis=1))
-    freqs = np.fft.rfftfreq(nfft, d=1.0 / sr)
-    return Spectrogram(KIND_STFT, mags, freqs)
+def stft(samples: np.ndarray, sample_rate: float, frame: FrameConfig) -> np.ndarray:
+    """One-sided magnitude spectrogram of Hann-windowed frames, shape
+    [n_frames, fft_size // 2 + 1]; its bins lie at ``np.fft.rfftfreq``."""
+    windowed = _frames(samples, sample_rate, frame)
+    return np.abs(np.fft.rfft(windowed, n=frame.resolve_fft_size(sample_rate), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +181,12 @@ def build_mel_filterbank(n_filters: int, cfg: FrameConfig, sample_rate: float,
     return MelFilterBank(weights, centers, sample_rate, nfft)
 
 
-def mel_spectrogram(segment, cfg: FrameConfig = FrameConfig(), n_filters: int = 300,
-                    sample_rate: float | None = None,
-                    bank: MelFilterBank | None = None) -> Spectrogram:
+def mel_spectrogram(samples: np.ndarray, sample_rate: float, frame: FrameConfig,
+                    bank: MelFilterBank) -> np.ndarray:
     """log10(filterbank @ power spectrum + 1e-10), shape [n_frames, n_filters]."""
-    samples, sr = _resolve_input(segment, sample_rate)
-    if bank is None:
-        bank = build_mel_filterbank(n_filters, cfg, sr)
-    elif bank.sample_rate != sr or bank.fft_size != cfg.resolve_fft_size(sr):
-        raise FeatureError("mel filterbank was built for a different sample rate or FFT size")
-    windowed = _frames(samples, sr, cfg)
-    spectrum = np.abs(np.fft.rfft(windowed, n=bank.fft_size, axis=1))
-    power = np.square(spectrum)
-    values = np.log10(power @ bank.weights.T + LOG_FLOOR)
-    return Spectrogram(KIND_MEL, values, bank.center_freqs.copy())
+    _check_bank(bank, sample_rate, frame)
+    power = np.square(stft(samples, sample_rate, frame))
+    return np.log10(power @ bank.weights.T + LOG_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +215,6 @@ class CqtKernelBank:
     kernels: np.ndarray  # complex [n_bins, fft_size]
     sample_rate: float
     fft_size: int
-    kernel_lengths: np.ndarray = field(repr=False, default=None)
 
 
 def build_cqt_kernels(cfg: FrameConfig, sample_rate: float, f_min: float = 50.0,
@@ -254,35 +227,26 @@ def build_cqt_kernels(cfg: FrameConfig, sample_rate: float, f_min: float = 50.0,
     q = 1.0 / (2.0 ** (1.0 / bins_per_octave) - 1.0)
     nfft = cfg.resolve_fft_size(sample_rate)
     kernels = np.zeros((freqs.size, nfft), dtype=np.complex128)
-    lengths = np.empty(freqs.size, dtype=np.int64)
     for k, fk in enumerate(freqs):
         n_k = min(int(np.ceil(q * sample_rate / fk)), nfft)
-        lengths[k] = n_k
         t = np.arange(n_k) / sample_rate
         kern = hann(n_k) * np.exp(2j * np.pi * fk * t)
         kern /= np.abs(kern).sum()
         kernels[k, :n_k] = kern
-    return CqtKernelBank(freqs, np.fft.fft(kernels, axis=1), sample_rate, nfft, lengths)
+    return CqtKernelBank(freqs, np.fft.fft(kernels, axis=1), sample_rate, nfft)
 
 
-def cqt_spectrogram(segment, cfg: FrameConfig = FrameConfig(),
-                    kernels: CqtKernelBank | None = None,
-                    sample_rate: float | None = None, **kernel_kwargs) -> Spectrogram:
+def cqt_spectrogram(samples: np.ndarray, sample_rate: float, frame: FrameConfig,
+                    kernels: CqtKernelBank) -> np.ndarray:
     """|<frame FFT, kernel>| per frame and bin, shape [n_frames, n_bins].
 
     The frequency-domain product over the full FFT equals the time-domain
     inner product of the windowed frame with each kernel (Parseval), so bins
     respond like matched filters at their center frequencies.
     """
-    samples, sr = _resolve_input(segment, sample_rate)
-    if kernels is None:
-        kernels = build_cqt_kernels(cfg, sr, **kernel_kwargs)
-    elif kernels.sample_rate != sr or kernels.fft_size != cfg.resolve_fft_size(sr):
-        raise FeatureError("CQT kernel bank was built for a different sample rate or FFT size")
-    windowed = _frames(samples, sr, cfg)
-    spectra = np.fft.fft(windowed, n=kernels.fft_size, axis=1)
-    values = np.abs(spectra @ kernels.kernels.conj().T) / kernels.fft_size
-    return Spectrogram(KIND_CQT, values, kernels.center_freqs.copy())
+    _check_bank(kernels, sample_rate, frame)
+    spectra = np.fft.fft(_frames(samples, sample_rate, frame), n=kernels.fft_size, axis=1)
+    return np.abs(spectra @ kernels.kernels.conj().T) / kernels.fft_size
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +285,12 @@ def normalize_features(stats: FeatureStats, values) -> np.ndarray:
 
 
 def write_feature_cache(path, values: np.ndarray, kind: str, label: int) -> None:
-    """Write one feature matrix: magic, version, kind, dims, label, f32 data."""
+    """Write one finite feature matrix: magic, version, kind, dims, label, f32 data."""
     arr = np.ascontiguousarray(values, dtype="<f4")
     if arr.ndim != 2:
         raise FeatureError(f"feature cache stores 2-D matrices, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise FeatureError(f"non-finite values in the {kind} features for {path}")
     header = CACHE_MAGIC + _CACHE_HEADER.pack(CACHE_VERSION, _KIND_CODES[kind],
                                               arr.shape[0], arr.shape[1], int(label))
     Path(path).write_bytes(header + arr.tobytes())

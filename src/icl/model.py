@@ -106,9 +106,8 @@ def encoder_forward(params: dict[str, Tensor], cfg: EncoderConfig, x: Tensor) ->
             f"input {h}x{w} below minimum {cfg.min_input_hw}x{cfg.min_input_hw} "
             f"for {len(cfg.channel_widths)} stages")
 
-    def conv(name: str, t: Tensor, stride: int, k_pad: str = "same") -> Tensor:
-        return ad.conv2d(t, params[f"{name}/w"], params[f"{name}/b"],
-                         stride=stride, padding=k_pad)
+    def conv(name: str, t: Tensor, stride: int) -> Tensor:
+        return ad.conv2d(t, params[f"{name}/w"], params[f"{name}/b"], stride)
 
     prefix = next(iter(params)).split("/")[0]
     out = ad.relu(conv(f"{prefix}/stem", x, 2))

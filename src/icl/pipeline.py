@@ -65,32 +65,6 @@ def cmd_synth(cfg: dict, out_dir) -> Path:
     return manifest
 
 
-def _build_banks(cfg: dict, sample_rate: float) -> dict:
-    banks = {}
-    kinds = cfg["features"]["kinds"]
-    frame = frame_config(cfg)
-    if "mel" in kinds:
-        banks["mel"] = features.build_mel_filterbank(
-            cfg["features"]["mel"]["n_filters"], frame, sample_rate)
-    if "cqt" in kinds:
-        c = cfg["features"]["cqt"]
-        banks["cqt"] = features.build_cqt_kernels(
-            frame, sample_rate, f_min=c["f_min"],
-            f_max=c["f_max"], bins_per_octave=c["bins_per_octave"])
-    return banks
-
-
-def extract_segment(seg: audio.AudioSegment, kind: str, cfg: dict, banks: dict) -> np.ndarray:
-    frame = frame_config(cfg)
-    if kind == "stft":
-        return features.stft(seg, frame).values
-    if kind == "mel":
-        return features.mel_spectrogram(seg, frame, bank=banks["mel"]).values
-    if kind == "cqt":
-        return features.cqt_spectrogram(seg, frame, kernels=banks["cqt"]).values
-    raise PipelineError(f"unknown feature kind {kind!r}")
-
-
 def cmd_extract(cfg: dict, out_dir) -> dict:
     """Segment the tracks of the manifest (``dataset.manifest``, or else the
     one ``icl synth`` wrote) and cache every configured feature kind."""
@@ -110,8 +84,20 @@ def cmd_extract(cfg: dict, out_dir) -> dict:
         raise PipelineError("tracks have mixed sample rates: " + ", ".join(
             f"{rate} Hz (track {tid})" for rate, tid in sorted(rates.items())))
     sample_rate = segments[0].sample_rate
-    kinds = list(cfg["features"]["kinds"])
-    banks = _build_banks(cfg, sample_rate)
+    feats = cfg["features"]
+    kinds = list(feats["kinds"])
+    frame = frame_config(cfg)
+    # One transform per kind, its bank built once. The calls go through the
+    # ``features`` module so that a wrapper installed there sees them.
+    transforms = {"stft": lambda x: features.stft(x, sample_rate, frame)}
+    if "mel" in kinds:
+        bank = features.build_mel_filterbank(feats["mel"]["n_filters"], frame, sample_rate)
+        transforms["mel"] = lambda x: features.mel_spectrogram(x, sample_rate, frame, bank)
+    if "cqt" in kinds:
+        c = feats["cqt"]
+        kernels = features.build_cqt_kernels(frame, sample_rate, f_min=c["f_min"],
+                                             f_max=c["f_max"], bins_per_octave=c["bins_per_octave"])
+        transforms["cqt"] = lambda x: features.cqt_spectrogram(x, sample_rate, frame, kernels)
     feat_dir = out_dir / "features"
     for kind in kinds:
         (feat_dir / kind).mkdir(parents=True, exist_ok=True)
@@ -119,7 +105,7 @@ def cmd_extract(cfg: dict, out_dir) -> dict:
     geometry: dict[str, dict] = {}
     for seg in segments:
         for kind in kinds:
-            values = extract_segment(seg, kind, cfg, banks)
+            values = transforms[kind](seg.samples)
             geometry.setdefault(kind, {"n_frames": values.shape[0], "n_bins": values.shape[1]})
             features.write_feature_cache(
                 feat_dir / kind / f"{seg.segment_id}.iclf", values, kind, seg.label)

@@ -118,6 +118,12 @@ def test_pure_line_dominates_spectrum_at_infinite_snr():
     assert np.abs(track.samples).max() <= 0.95 + 1e-12
 
 
+def test_lowest_snr_still_synthesizes_finite_tracks():
+    tracks = synthesize_dataset(make_spec(snr_db=-200, tracks_per_class=1))
+    assert all(np.all(np.isfinite(t.samples)) and np.abs(t.samples).max() <= 0.95 + 1e-12
+               for t in tracks)
+
+
 def test_envelope_rate_recoverable_by_rectify_and_fft():
     spec = make_spec(n_classes=1, line_freqs=[[100.0]], mod_rates=[5.0],
                      mod_depth=0.8, snr_db=30.0, tracks_per_class=1, track_duration=8.0)
@@ -146,6 +152,7 @@ def test_synthesis_spec_validation():
     for field, bad, message in [
             ("snr_db", math.nan, "snr_db must be a finite number, got nan"),
             ("snr_db", -math.inf, "snr_db must be a finite number, got -inf"),
+            ("snr_db", -200.5, r"snr_db must be >= -200 or \+inf, got -200.5"),
             ("n_classes", 2.0, "n_classes must be an integer, got 2.0"),
             ("seed", True, "seed must be an integer, got True"),
             ("line_gain", "1", "line_gain must be a finite number, got '1'"),

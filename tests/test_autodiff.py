@@ -19,7 +19,7 @@ def test_relu_forward():
 def test_conv2d_identity_kernel():
     x = Tensor(rng.standard_normal((2, 1, 5, 4)))
     w = Tensor(np.ones((1, 1, 1, 1)))
-    out = ad.conv2d(x, w, stride=1, padding="same")
+    out = ad.conv2d(x, w, Tensor(np.zeros(1)), 1)
     assert np.array_equal(out.data, x.data)
 
 
@@ -103,7 +103,7 @@ def test_forward_backward_deterministic():
     def run():
         x = Tensor(np.linspace(-1, 1, 24).reshape(2, 1, 4, 3), requires_grad=True)
         w = Tensor(np.linspace(0.1, 0.9, 9).reshape(1, 1, 3, 3), requires_grad=True)
-        loss = ad.sum_all(ad.relu(ad.conv2d(x, w, stride=1, padding="same")))
+        loss = ad.sum_all(ad.relu(ad.conv2d(x, w, Tensor(np.zeros(1)), 1)))
         ad.backward(loss)
         return loss.data.copy(), x.grad.copy(), w.grad.copy()
 
@@ -151,13 +151,11 @@ OP_CASES = [
      [(3, 4), (2, 4)]),
     ("linear", lambda x, w, b: ad.sum_all(ad.relu(ad.linear(x, w, b))),
      [(3, 4), (5, 4), (5,)]),
-    ("conv2d_same", lambda x, w, b: ad.sum_all(ad.conv2d(x, w, b, 1, "same")),
+    ("conv2d_same", lambda x, w, b: ad.sum_all(ad.conv2d(x, w, b, 1)),
      [(2, 3, 6, 5), (4, 3, 3, 3), (4,)]),
-    ("conv2d_same_s2", lambda x, w, b: ad.sum_all(ad.conv2d(x, w, b, 2, "same")),
+    ("conv2d_same_s2", lambda x, w, b: ad.sum_all(ad.conv2d(x, w, b, 2)),
      [(2, 3, 7, 6), (4, 3, 3, 3), (4,)]),
-    ("conv2d_valid", lambda x, w, b: ad.sum_all(ad.conv2d(x, w, b, 1, "valid")),
-     [(2, 3, 6, 5), (4, 3, 3, 3), (4,)]),
-    ("conv2d_1x1_s2", lambda x, w, b: ad.sum_all(ad.conv2d(x, w, b, 2, "same")),
+    ("conv2d_1x1_s2", lambda x, w, b: ad.sum_all(ad.conv2d(x, w, b, 2)),
      [(2, 3, 6, 5), (4, 3, 1, 1), (4,)]),
     ("global_avg_pool", lambda x: ad.sum_all(ad.mul(ad.global_avg_pool(x),
                                                     ad.global_avg_pool(x))),
@@ -195,16 +193,12 @@ def off_kink(local_rng, shape, margin=0.05):
 # --- conv2d against a plain tap-sum reference ---
 
 
-def conv_reference(x, w, b, g, stride, padding):
+def conv_reference(x, w, b, g, stride):
     """Output and (dx, dW, db) of sum(conv2d(x, w, b) * g), one kernel tap at a time."""
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
-    if padding == "same":
-        oh, ow = -(-h // stride), -(-wd // stride)
-        ph, pw = max((oh - 1) * stride + kh - h, 0), max((ow - 1) * stride + kw - wd, 0)
-    else:
-        oh, ow = (h - kh) // stride + 1, (wd - kw) // stride + 1
-        ph = pw = 0
+    oh, ow = -(-h // stride), -(-wd // stride)
+    ph, pw = max((oh - 1) * stride + kh - h, 0), max((ow - 1) * stride + kw - wd, 0)
     top, left = ph // 2, pw // 2
     xp = np.pad(x, ((0, 0), (0, 0), (top, ph - top), (left, pw - left)))
     out = np.zeros((n, f, oh, ow)) + b[None, :, None, None]
@@ -220,20 +214,21 @@ def conv_reference(x, w, b, g, stride, padding):
     return out, (dxp[:, :, top: top + h, left: left + wd], dw, g.sum(axis=(0, 2, 3)))
 
 
+# (7, 6) and (4, 5) flip which axis gets an odd "same" pad at stride 2.
+@pytest.mark.parametrize("size", [(7, 6), (4, 5)])
 @pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("padding", ["same", "valid"])
 @pytest.mark.parametrize("kernel", [(3, 3), (1, 3), (1, 1)])
 @pytest.mark.parametrize("channels", [1, 3])
-def test_conv2d_matches_tap_sum_reference(stride, padding, kernel, channels):
-    local = np.random.default_rng([stride, len(padding), kernel[0], channels])
-    x = Tensor(local.standard_normal((2, channels, 7, 6)), requires_grad=True)
+def test_conv2d_matches_tap_sum_reference(stride, kernel, channels, size):
+    local = np.random.default_rng([stride, kernel[0], channels, *size])
+    x = Tensor(local.standard_normal((2, channels, *size)), requires_grad=True)
     w = Tensor(local.standard_normal((4, channels, *kernel)), requires_grad=True)
     b = Tensor(local.standard_normal(4), requires_grad=True)
-    out = ad.conv2d(x, w, b, stride, padding)
+    out = ad.conv2d(x, w, b, stride)
     g = local.standard_normal(out.data.shape)
     ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
 
-    want_out, want_grads = conv_reference(x.data, w.data, b.data, g, stride, padding)
+    want_out, want_grads = conv_reference(x.data, w.data, b.data, g, stride)
     np.testing.assert_allclose(out.data, want_out, rtol=1e-12, atol=1e-12)
     for got, want in zip((x.grad, w.grad, b.grad), want_grads):
         assert got.shape == want.shape
@@ -243,10 +238,11 @@ def test_conv2d_matches_tap_sum_reference(stride, padding, kernel, channels):
 def test_ops_on_inputs_without_grad_keep_no_graph():
     x = Tensor(rng.standard_normal((2, 3, 5, 4)))
     w = Tensor(rng.standard_normal((4, 3, 3, 3)))
-    for out in (ad.relu(x), ad.conv2d(x, w), ad.conv2d(x, Tensor(np.ones((2, 3, 1, 1)))),
+    b4, b2 = Tensor(np.zeros(4)), Tensor(np.zeros(2))
+    for out in (ad.relu(x), ad.conv2d(x, w, b4), ad.conv2d(x, Tensor(np.ones((2, 3, 1, 1))), b2),
                 ad.add(ad.relu(x), ad.relu(x))):
         assert out._parents == () and out._backward is None
     # One parent that needs a gradient is enough to keep the graph.
     w.requires_grad = True
-    out = ad.conv2d(ad.relu(x), w)
-    assert len(out._parents) == 2 and out._backward is not None
+    out = ad.conv2d(ad.relu(x), w, b4)
+    assert len(out._parents) == 3 and out._backward is not None

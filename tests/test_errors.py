@@ -74,8 +74,8 @@ def test_config_errors_come_from_the_typed_settings(override, field, source):
     ("features.cqt_frame={}", "features.cqt_frame: unknown config key"),
     ("training.symmetric_icl=true", "training.symmetric_icl: unknown config key"),
     ("dataset.synthesis.seed=3", "dataset.synthesis.seed: unknown config key"),
-    ("features.mel.n_filters=abc", "features: malformed value"),
-    ("dataset.manifest=7", "dataset: malformed value"),
+    ("features.mel.n_filters=abc", "features.mel.n_filters: must be an integer, got 'abc'"),
+    ("dataset.manifest=7", "dataset.manifest: must be a path or null, got 7"),
     # Integer settings refuse other numbers and booleans.
     ("seed=null", "seed: must be an integer >= 0, got None"),
     ("seed=1.5", "seed: must be an integer >= 0, got 1.5"),
@@ -87,8 +87,7 @@ def test_config_errors_come_from_the_typed_settings(override, field, source):
     ("encoder.blocks_per_stage=[1.5,1]", "encoder.blocks_per_stage must be integers >= 1"),
     ("encoder.channel_widths=[4,8.0]", "encoder.channel_widths must be integers >= 1"),
     ("features.fft_size=64.5", "features.fft_size must be an integer or null, got 64.5"),
-    ("features.mel.n_filters=12.5",
-     "features: malformed value: TypeError('features.mel.n_filters must be an integer"),
+    ("features.mel.n_filters=12.5", "features.mel.n_filters: must be an integer, got 12.5"),
     # Real settings refuse non-numbers, booleans and non-finite values.
     ("training.alpha=NaN", "training.alpha must be a finite number, got nan"),
     ("training.alpha=Infinity", "training.alpha must be a finite number, got inf"),
@@ -114,6 +113,8 @@ def test_config_errors_come_from_the_typed_settings(override, field, source):
     ("dataset.synthesis.n_classes=1.5", "dataset.synthesis.n_classes must be an integer, got 1.5"),
     ("dataset.synthesis.snr_db=loud",
      "dataset.synthesis.snr_db must be a finite number, got 'loud'"),
+    ("dataset.synthesis.snr_db=-7000",
+     "dataset.synthesis.snr_db must be >= -200 or +inf, got -7000.0"),
     ("dataset.synthesis.line_gain=NaN",
      "dataset.synthesis.line_gain must be a finite number, got nan"),
     ("dataset.synthesis.track_duration=Infinity",

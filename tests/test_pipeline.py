@@ -3,11 +3,12 @@
 import json
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import MICRO_OVERRIDES
+from conftest import MICRO_OVERRIDES, micro_config
 from icl import audio, features, model, pipeline, training, wavio
 from icl.cli import main
 from icl.config import resolve_config
@@ -280,3 +281,29 @@ def test_mixed_sample_rates_are_refused_at_extract(tmp_path, capsys):
         "extract", "--out", str(tmp_path / "out"),
         *_micro_args(f"dataset.manifest={tmp_path / 'manifest.json'}")])
     assert re.search(r"1000 Hz \(track t\d+\), 1200 Hz \(track t\d+\)", err)
+
+
+def test_extract_builds_the_framing_once(tmp_path, monkeypatch):
+    cfg = micro_config()
+    pipeline.cmd_synth(cfg, tmp_path)
+    build, calls = pipeline.frame_config, []
+    monkeypatch.setattr(pipeline, "frame_config", lambda c: calls.append(c) or build(c))
+    index = pipeline.cmd_extract(cfg, tmp_path)
+    assert len(index["segments"]) > 1 and len(calls) == 1
+
+
+def test_benchmark_tracer_times_the_extract_layers(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    cfg = micro_config()
+    pipeline.cmd_synth(cfg, tmp_path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        pipeline.cmd_extract(cfg, tmp_path)
+    finally:
+        tracer.uninstall()
+    for key in ("features.mel_spectrogram.s", "features.cqt_spectrogram.s",
+                "features.write_feature_cache.mb"):
+        assert tracer.totals[key] > 0, key
