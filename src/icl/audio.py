@@ -57,7 +57,6 @@ class AudioSegment:
 
     parent_track_id: str
     offset: float
-    duration: float
     samples: np.ndarray
     label: int
     sample_rate: int
@@ -72,7 +71,6 @@ class SplitAssignment:
     train: list[AudioSegment]
     val: list[AudioSegment]
     test: list[AudioSegment]
-    seed: int
 
     def track_ids(self, split: str) -> set[str]:
         return {s.parent_track_id for s in getattr(self, split)}
@@ -212,11 +210,17 @@ def write_manifest(path, entries: list[dict], synthesis: SynthesisSpec | None = 
     write_json(path, doc)
 
 
+def _manifest_entry(e: dict, root: Path) -> tuple:
+    if not (is_int(e["label"]) and e["label"] >= 0):
+        raise AudioError(f"track {e['track_id']!r}: label must be an integer >= 0, "
+                         f"got {e['label']!r}")
+    return e["track_id"], e["label"], root / e["path"]
+
+
 def load_manifest(path) -> list[AudioTrack]:
     """Load every track of a manifest from its WAV file."""
     path = Path(path)
-    entries = read_json(path, lambda doc: [(e["track_id"], int(e["label"]), path.parent / e["path"])
-                                           for e in doc["tracks"]])
+    entries = read_json(path, lambda doc: [_manifest_entry(e, path.parent) for e in doc["tracks"]])
     return [load_wav(wav, track_id=track_id, label=label) for track_id, label, wav in entries]
 
 
@@ -251,7 +255,6 @@ def segment_tracks(tracks: list[AudioTrack], segment_len: float,
             segments.append(AudioSegment(
                 parent_track_id=track.track_id,
                 offset=start / track.sample_rate,
-                duration=segment_len,
                 samples=track.samples[start: start + seg_n],
                 label=track.label,
                 sample_rate=track.sample_rate))
@@ -305,4 +308,4 @@ def split_track_disjoint(segments: list[AudioSegment],
     splits: tuple[list, list, list] = ([], [], [])
     for seg in segments:
         splits[membership[seg.parent_track_id]].append(seg)
-    return SplitAssignment(train=splits[0], val=splits[1], test=splits[2], seed=seed)
+    return SplitAssignment(train=splits[0], val=splits[1], test=splits[2])

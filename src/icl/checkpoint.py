@@ -69,4 +69,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             params[name] = arr.astype(np.float64)
     except (struct.error, ValueError) as exc:
         raise CheckpointError(f"truncated or corrupt checkpoint {path}: {exc}") from exc
+    if pos != len(buf):
+        raise CheckpointError(f"checkpoint {path} has {len(buf) - pos} bytes after its last "
+                              "parameter")
     return params

@@ -267,12 +267,11 @@ class FeatureStats:
                                f"got mean {self.mean!r}, std {self.std!r}")
 
 
-def compute_feature_stats(arrays, kind: str) -> FeatureStats:
-    """Stats over a list of feature arrays (training split only)."""
-    if len(arrays) == 0:
+def compute_feature_stats(train: np.ndarray, kind: str) -> FeatureStats:
+    """Mean and std over every value of the stacked float64 training split."""
+    if train.size == 0:
         raise FeatureError("cannot compute feature stats from an empty set")
-    flat = np.concatenate([np.asarray(a, dtype=np.float64).reshape(-1) for a in arrays])
-    return FeatureStats(kind, float(flat.mean()), max(float(flat.std()), 1e-8))
+    return FeatureStats(kind, float(train.mean()), max(float(train.std()), 1e-8))
 
 
 def normalize_features(stats: FeatureStats, values) -> np.ndarray:

@@ -19,14 +19,6 @@ class ConfusionMatrix:
 
     counts: np.ndarray
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def accuracy(self) -> float:
-        return float(np.trace(self.counts)) / self.total
-
     def row_normalized(self) -> np.ndarray:
         sums = self.counts.sum(axis=1, keepdims=True).astype(np.float64)
         sums[sums == 0] = 1.0

@@ -28,11 +28,11 @@ class ModelError(IclError):
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    input_kind: str = "mel"
-    stem_channels: int = 128
-    blocks_per_stage: tuple[int, ...] = (2, 2, 2)
-    channel_widths: tuple[int, ...] = (128, 256, 512)
-    embedding_dim: int = 512
+    input_kind: str
+    stem_channels: int
+    blocks_per_stage: tuple[int, ...]
+    channel_widths: tuple[int, ...]
+    embedding_dim: int
 
     def __post_init__(self):
         for name in ("stem_channels", "blocks_per_stage", "channel_widths", "embedding_dim"):
@@ -144,8 +144,6 @@ def classify(embedding: Tensor, params: dict[str, Tensor]) -> Tensor:
 class CamMap:
     raw: np.ndarray       # [H', W'] class-weighted sum of feature maps
     heatmap: np.ndarray   # [H, W] bilinear upsample, min-max normalized to [0, 1]
-    class_index: int
-    kind: str
 
 
 def bilinear_resize(m: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -171,7 +169,7 @@ def bilinear_resize(m: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def compute_cam(feature_maps: np.ndarray, head_w: np.ndarray, class_index: int,
-                output_shape: tuple[int, int], kind: str = "mel") -> CamMap:
+                output_shape: tuple[int, int]) -> CamMap:
     """raw[h,w] = sum_ch W[c,ch] * maps[ch,h,w], upsampled and normalized.
 
     With a summed two-encoder embedding the shared head weights applied to
@@ -193,4 +191,4 @@ def compute_cam(feature_maps: np.ndarray, head_w: np.ndarray, class_index: int,
         heat = (up - lo) / (hi - lo)
     else:
         heat = np.full(output_shape, 0.5)
-    return CamMap(raw=raw, heatmap=heat, class_index=class_index, kind=kind)
+    return CamMap(raw=raw, heatmap=heat)

@@ -8,10 +8,15 @@ Each stage reads and writes plain artifacts under one output directory:
       features/index.json      segment table, feature geometry and the
                                features/segmentation config that made them
       features/<kind>/*.iclf   cached feature matrices
-      runs/<name>/             per-run: resolved_config.json, metrics.jsonl,
-                               checkpoint.iclc, stats.json, run.json, eval.json,
-                               confusion + CAM exports
+      runs/<name>/             per-run: resolved_config.json, metrics.jsonl
+                               (the one per-epoch record), checkpoint.iclc,
+                               stats.json, run.json, eval.json, confusion +
+                               CAM exports
       report/results.{csv,json}
+
+Each command reads only the cache rows it uses: train the train and val
+splits, eval the test split, cam one segment. Every row read is checked
+against the index: its kind and its shape.
 """
 
 from __future__ import annotations
@@ -126,9 +131,6 @@ def cmd_extract(cfg: dict, out_dir) -> dict:
     return index
 
 
-SPLITS = ("train", "val", "test")
-
-
 def _parse_index(index: dict):
     refs = [SimpleNamespace(parent_track_id=s["track"], label=int(s["label"]), segment_id=s["id"])
             for s in index["segments"]]
@@ -140,20 +142,23 @@ def _parse_index(index: dict):
     if not all(k in features.KINDS for k in kinds):
         raise ValueError(f"kinds must list stft|mel|cqt, got {kinds!r}")
     recorded = _flatten(index["config"]) if "config" in index else None
-    return refs, n_classes, set(kinds), recorded
+    geo = index["feature_geometry"]
+    geometry = {k: (geo[k]["n_frames"], geo[k]["n_bins"]) for k in kinds}
+    return refs, n_classes, geometry, recorded
 
 
-def _read_index(cfg: dict, out_dir: Path,
-                kinds: tuple[str, ...]) -> tuple[audio.SplitAssignment, int]:
-    """The cache's track-disjoint split and class count, after checking the
-    index against the kinds and config asked for."""
+def _read_index(cfg: dict, out_dir: Path, kinds: tuple[str, ...]
+                ) -> tuple[audio.SplitAssignment, int, dict[str, tuple]]:
+    """The cache's track-disjoint split, class count and matrix shape per
+    kind, after checking the index against the kinds and config asked for."""
     index_path = out_dir / "features" / "index.json"
     if not index_path.exists():
         raise PipelineError(f"missing feature cache index {index_path}; run `icl extract` first")
-    refs, n_classes, have, cached = read_json(index_path, _parse_index)
+    refs, n_classes, geometry, cached = read_json(index_path, _parse_index)
     for kind in kinds:
-        if kind not in have:
-            raise PipelineError(f"feature kind {kind!r} was not extracted (have {sorted(have)})")
+        if kind not in geometry:
+            raise PipelineError(f"feature kind {kind!r} was not extracted "
+                                f"(have {sorted(geometry)})")
     if cached is None:
         raise PipelineError(f"{index_path} does not record the config it was extracted with; "
                             "re-run `icl extract`")
@@ -166,52 +171,50 @@ def _read_index(cfg: dict, out_dir: Path,
         raise PipelineError(f"feature cache {index_path} was extracted with a different config: "
                             f"{detail}; re-run `icl extract`")
     split = audio.split_track_disjoint(refs, tuple(cfg["split"]["ratios"]), seed=cfg["seed"])
-    return split, n_classes
+    return split, n_classes, geometry
 
 
-def _read_rows(out_dir: Path, kind: str, refs) -> np.ndarray:
-    """The cached features of refs as one float64 stack, labels checked."""
+def _read_rows(out_dir: Path, kind: str, refs, shape: tuple) -> np.ndarray:
+    """The cached features of refs as one float64 stack; each file's kind,
+    label and matrix shape checked against the index."""
     rows = []
     for ref in refs:
-        _, label, values = features.read_feature_cache(
-            out_dir / "features" / kind / f"{ref.segment_id}.iclf")
+        path = out_dir / "features" / kind / f"{ref.segment_id}.iclf"
+        kind_read, label, values = features.read_feature_cache(path)
+        if kind_read != kind:
+            raise PipelineError(f"feature cache {path} holds {kind_read} features, not {kind}")
+        if values.shape != shape:
+            raise PipelineError(f"feature cache {path} holds a {values.shape[0]}x{values.shape[1]} "
+                                f"matrix; the index records {shape[0]}x{shape[1]} for {kind}")
         if label != ref.label:
             raise PipelineError(f"label mismatch for {ref.segment_id} in {kind} cache")
         rows.append(values)
     return np.stack(rows).astype(np.float64)
 
 
-def _read_normalized(out_dir: Path, kinds: tuple[str, ...], refs,
+def _read_normalized(out_dir: Path, kinds: tuple[str, ...], refs, geometry: dict,
                      stats: dict[str, features.FeatureStats]) -> dict[str, np.ndarray]:
     """Encoder input [n, 1, H, W] per kind for refs alone, normalized with stats."""
-    return {k: features.normalize_features(stats[k], _read_rows(out_dir, k, refs))[:, None]
-            for k in kinds}
+    return {k: features.normalize_features(
+        stats[k], _read_rows(out_dir, k, refs, geometry[k]))[:, None] for k in kinds}
 
 
 def load_dataset(cfg: dict, out_dir, kinds: tuple[str, ...],
                  stats: dict[str, features.FeatureStats] | None = None,
                  ) -> tuple[training.DatasetSplits, dict[str, features.FeatureStats]]:
-    """Read cached features, split track-disjointly, normalize with train stats."""
+    """The train and val splits, normalized with the train split's stats
+    (or with ``stats`` when given). The test rows are not read."""
     out_dir = Path(out_dir)
-    assignment, n_classes = _read_index(cfg, out_dir, kinds)
-
-    raw: dict[str, dict[str, np.ndarray]] = {k: {} for k in kinds}
-    labels: dict[str, np.ndarray] = {}
-    segment_ids: dict[str, list[str]] = {}
-    for split in SPLITS:
-        refs = getattr(assignment, split)
-        segment_ids[split] = [r.segment_id for r in refs]
-        labels[split] = np.array([r.label for r in refs], dtype=np.int64)
-        for kind in kinds:
-            raw[kind][split] = _read_rows(out_dir, kind, refs)
-
+    assignment, n_classes, geometry = _read_index(cfg, out_dir, kinds)
+    train = {k: _read_rows(out_dir, k, assignment.train, geometry[k]) for k in kinds}
     if stats is None:
-        stats = {k: features.compute_feature_stats(list(raw[k]["train"]), k) for k in kinds}
-    feats = {k: {split: features.normalize_features(stats[k], raw[k][split])[:, None, :, :]
-                 for split in SPLITS} for k in kinds}
-    data = training.DatasetSplits(features=feats, labels=labels,
-                                  n_classes=n_classes, segment_ids=segment_ids)
-    return data, stats
+        stats = {k: features.compute_feature_stats(train[k], k) for k in kinds}
+    val = _read_normalized(out_dir, kinds, assignment.val, geometry, stats)
+    feats = {k: {"train": features.normalize_features(stats[k], train[k])[:, None],
+                 "val": val[k]} for k in kinds}
+    labels = {split: np.array([r.label for r in getattr(assignment, split)], dtype=np.int64)
+              for split in ("train", "val")}
+    return training.DatasetSplits(features=feats, labels=labels, n_classes=n_classes), stats
 
 
 def default_run_name(cfg: dict) -> str:
@@ -254,7 +257,7 @@ def _load_run(out_dir: Path, run_name: str):
         raise PipelineError(f"run {run_dir} has no checkpoint; train it first")
     cfg = read_json(run_dir / "resolved_config.json", validate_config)
     kinds = train_settings(cfg).feature_kinds
-    assignment, n_classes = _read_index(cfg, Path(out_dir), kinds)
+    assignment, n_classes, geometry = _read_index(cfg, Path(out_dir), kinds)
     stats = read_json(run_dir / "stats.json", lambda doc: {
         k: features.FeatureStats(k, doc[k]["mean"], doc[k]["std"]) for k in kinds})
     enc_cfgs = encoder_configs(cfg, kinds)
@@ -269,17 +272,17 @@ def _load_run(out_dir: Path, run_name: str):
         raise PipelineError(f"checkpoint {run_dir / 'checkpoint.iclc'} does not match the run's "
                             f"model config: {name} is {got.get(name)} there, "
                             f"{shapes.get(name)} in the config")
-    return run_dir, assignment, n_classes, enc_cfgs, stats, params
+    return run_dir, assignment, n_classes, geometry, enc_cfgs, stats, params
 
 
 def cmd_eval(out_dir, run_name: str) -> dict:
     """Test-split metrics for a trained run: accuracy, confusion, per-sample probs."""
     out_dir = Path(out_dir)
-    run_dir, assignment, n_classes, enc_cfgs, stats, params = _load_run(out_dir, run_name)
+    run_dir, assignment, n_classes, geometry, enc_cfgs, stats, params = _load_run(out_dir, run_name)
     kinds = tuple(enc_cfgs)
     refs = assignment.test
     probs = training.predict_proba(params, enc_cfgs, kinds,
-                                   _read_normalized(out_dir, kinds, refs, stats))
+                                   _read_normalized(out_dir, kinds, refs, geometry, stats))
     preds = np.argmax(probs, axis=1)
     y = np.array([r.label for r in refs], dtype=np.int64)
     acc = metrics.accuracy(preds, y)
@@ -304,7 +307,7 @@ def cmd_cam(out_dir, run_name: str, split: str = "test", index: int = 0,
     Reads only that segment's cache file per kind.
     """
     out_dir = Path(out_dir)
-    run_dir, assignment, _, enc_cfgs, stats, params = _load_run(out_dir, run_name)
+    run_dir, assignment, _, geometry, enc_cfgs, stats, params = _load_run(out_dir, run_name)
     kinds = tuple(enc_cfgs)
     refs = getattr(assignment, split)
     ids = [r.segment_id for r in refs]
@@ -317,15 +320,14 @@ def cmd_cam(out_dir, run_name: str, split: str = "test", index: int = 0,
     sid = ids[index]
 
     tensors = {n: training.Tensor(p) for n, p in params.items()}
-    batch = _read_normalized(out_dir, kinds, refs[index: index + 1], stats)
+    batch = _read_normalized(out_dir, kinds, refs[index: index + 1], geometry, stats)
     logits, outputs = training._forward(tensors, enc_cfgs, kinds, batch)
     target = int(np.argmax(logits.data[0])) if class_index is None else class_index
 
     written: list[Path] = []
     for kind in kinds:
         maps = outputs[kind].feature_maps.data[0]
-        cam = model.compute_cam(maps, params["head/w"], target,
-                                batch[kind].shape[2:], kind=kind)
+        cam = model.compute_cam(maps, params["head/w"], target, batch[kind].shape[2:])
         written += reporting.export_cam(cam, run_dir / f"cam_{sid}_{kind}_c{target}")
     return written
 

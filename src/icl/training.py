@@ -10,14 +10,18 @@ encoder on the calling thread and the CQT encoder on one helper thread,
 forward and backward; the head, the loss and AdamW run on the calling
 thread. The encoders share no tensor, and each one's graph sums the same
 terms in the same order as one backward through the whole model, so
-identical configurations produce bit-identical histories and checkpoints.
+identical configurations produce bit-identical logs and checkpoints.
+
+``train`` writes one JSON line per epoch to its log (``metrics.jsonl`` in
+a run); that log is the one per-epoch record. ``TrainRun`` holds only the
+kept parameters, their epoch and their validation accuracy.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -30,6 +34,7 @@ from .optim import AdamW, NonFiniteGradientError
 
 MODE_ICL = "icl"
 BASELINE_MODES = ("mel", "cqt", "stft")
+PREDICT_BATCH = 64
 
 
 class TrainingError(IclError):
@@ -38,13 +43,13 @@ class TrainingError(IclError):
 
 @dataclass(frozen=True)
 class TrainSettings:
-    mode: str = MODE_ICL
-    epochs: int = 200
-    batch_size: int = 32
-    lr: float = 5e-4
-    weight_decay: float = 1e-5
-    alpha: float = 0.5
-    seed: int = 0
+    mode: str
+    epochs: int
+    batch_size: int
+    lr: float
+    weight_decay: float
+    alpha: float
+    seed: int
 
     def __post_init__(self):
         if self.mode not in (MODE_ICL,) + BASELINE_MODES:
@@ -74,17 +79,7 @@ class TrainSettings:
 
 
 @dataclass
-class EpochRecord:
-    epoch: int
-    ce: float
-    icl: float
-    total: float
-    val_accuracy: float
-
-
-@dataclass
 class TrainRun:
-    history: list[EpochRecord]
     best_epoch: int
     best_val_accuracy: float
     best_params: dict[str, np.ndarray]
@@ -97,7 +92,6 @@ class DatasetSplits:
     features: dict[str, dict[str, np.ndarray]]  # kind -> split -> [n, 1, H, W]
     labels: dict[str, np.ndarray]               # split -> [n]
     n_classes: int
-    segment_ids: dict[str, list[str]] = field(default_factory=dict)
 
     def split_size(self, split: str) -> int:
         return int(self.labels[split].shape[0])
@@ -134,28 +128,14 @@ def _forward(params: dict[str, Tensor], enc_cfgs, kinds, batches: dict[str, np.n
 
 def _concurrently(calls: list) -> list:
     """The results of ``calls``: the first runs here, each other one on a
-    thread of its own. Every call has finished before this returns or
-    raises the exception of the first call in ``calls`` that failed, so no
-    thread is still writing ``.grad`` after a failed step."""
-    results: list = [None] * len(calls)
-    errors: list = [None] * len(calls)
-
-    def run(i: int) -> None:
-        try:
-            results[i] = calls[i]()
-        except BaseException as exc:  # re-raised below, on the calling thread
-            errors[i] = exc
-
-    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, len(calls))]
-    for t in helpers:
-        t.start()
-    run(0)
-    for t in helpers:
-        t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+    helper thread. Leaving the pool waits for every helper, so every call
+    has finished before this returns or raises the exception of the first
+    call in ``calls`` that failed: no thread is still writing ``.grad``
+    after a failed step."""
+    with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+        helpers = [pool.submit(call) for call in calls[1:]]
+        first = calls[0]()
+    return [first] + [h.result() for h in helpers]
 
 
 def _backward_from(out: Tensor, grad: np.ndarray) -> None:
@@ -185,9 +165,9 @@ def _train_step(params: dict[str, Tensor], enc_cfgs, kinds,
     return breakdown
 
 
-def predict_logits(params, enc_cfgs, kinds, features: dict[str, np.ndarray],
-                   batch_size: int = 64) -> np.ndarray:
-    """Forward-only logits for a whole split; accepts Tensor or ndarray params.
+def predict_logits(params, enc_cfgs, kinds, features: dict[str, np.ndarray]) -> np.ndarray:
+    """Forward-only logits for a whole split, in batches of ``PREDICT_BATCH``;
+    accepts Tensor or ndarray params.
 
     Parameters are rewrapped as float64 in fresh Tensors that need no
     gradient, so the forward pass builds no graph, even on live float32
@@ -197,24 +177,24 @@ def predict_logits(params, enc_cfgs, kinds, features: dict[str, np.ndarray],
                for n, p in params.items()}
     n = next(iter(features.values())).shape[0]
     chunks = []
-    for start in range(0, n, batch_size):
-        batch = {k: v[start: start + batch_size] for k, v in features.items()}
+    for start in range(0, n, PREDICT_BATCH):
+        batch = {k: v[start: start + PREDICT_BATCH] for k, v in features.items()}
         logits, _ = _forward(tensors, enc_cfgs, kinds, batch)
         chunks.append(logits.data)
     return np.concatenate(chunks, axis=0)
 
 
-def predict_proba(params, enc_cfgs, kinds, features, batch_size: int = 64) -> np.ndarray:
-    return ad.softmax(predict_logits(params, enc_cfgs, kinds, features, batch_size))
+def predict_proba(params, enc_cfgs, kinds, features) -> np.ndarray:
+    return ad.softmax(predict_logits(params, enc_cfgs, kinds, features))
 
 
 def train(data: DatasetSplits, enc_cfgs: dict[str, model.EncoderConfig],
-          settings: TrainSettings, log_path=None) -> TrainRun:
+          settings: TrainSettings, log_path) -> TrainRun:
     """Seeded training with per-epoch validation and best-checkpoint keeping.
 
-    Emits one JSON line per epoch (epoch, ce, icl, total, val_accuracy)
-    when log_path is given. The kept checkpoint is the latest epoch
-    attaining the maximum validation accuracy.
+    Writes one JSON line per epoch (epoch, ce, icl, total, val_accuracy)
+    to log_path. The kept checkpoint is the latest epoch attaining the
+    maximum validation accuracy.
 
     Steps run in float32: the float64 initial weights and the train split
     are cast once. Validation runs in float64 on a lossless cast of the
@@ -235,12 +215,10 @@ def train(data: DatasetSplits, enc_cfgs: dict[str, model.EncoderConfig],
     y_train = data.labels["train"]
     alpha = settings.alpha if settings.mode == MODE_ICL else 0.0
 
-    history: list[EpochRecord] = []
     best_acc = -1.0
     best_epoch = -1
     best_params: dict[str, np.ndarray] = {}
-    log_file = open(log_path, "w") if log_path is not None else None
-    try:
+    with open(log_path, "w") as log_file:
         for epoch in range(1, settings.epochs + 1):
             order = rng.permutation(n_train)
             sums = {"ce": 0.0, "icl": 0.0, "total": 0.0}
@@ -263,21 +241,12 @@ def train(data: DatasetSplits, enc_cfgs: dict[str, model.EncoderConfig],
             val_logits = predict_logits(params, enc_cfgs, kinds, {
                 k: data.features[k]["val"] for k in kinds})
             val_acc = float(np.mean(np.argmax(val_logits, axis=1) == data.labels["val"]))
-            record = EpochRecord(epoch, sums["ce"] / n_train, sums["icl"] / n_train,
-                                 sums["total"] / n_train, val_acc)
-            history.append(record)
-            if log_file is not None:
-                log_file.write(json.dumps({
-                    "epoch": record.epoch, "ce": record.ce, "icl": record.icl,
-                    "total": record.total, "val_accuracy": record.val_accuracy,
-                }, sort_keys=True) + "\n")
+            means = {name: total / n_train for name, total in sums.items()}
+            log_file.write(json.dumps({"epoch": epoch, **means, "val_accuracy": val_acc},
+                                      sort_keys=True) + "\n")
             if val_acc >= best_acc:
                 best_acc = val_acc
                 best_epoch = epoch
                 best_params = {n: p.data.astype(np.float64) for n, p in params.items()}
-    finally:
-        if log_file is not None:
-            log_file.close()
 
-    return TrainRun(history=history, best_epoch=best_epoch,
-                    best_val_accuracy=best_acc, best_params=best_params)
+    return TrainRun(best_epoch=best_epoch, best_val_accuracy=best_acc, best_params=best_params)

@@ -136,7 +136,7 @@ def test_criterion_4_cam_identity():
         params.update(model.init_head_params(4, 3, 1000 + trial))
         x = rng.standard_normal((1, 1, 12, 9))
         if trial % 5 == 0:  # train a fifth of the models for a few steps
-            opt = AdamW(params, lr=1e-2)
+            opt = AdamW(params, lr=1e-2, weight_decay=1e-5)
             xb = rng.standard_normal((6, 1, 12, 9))
             yb = rng.integers(0, 4, 6)
             for _ in range(5):

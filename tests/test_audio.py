@@ -193,7 +193,7 @@ def track_of(duration, sr=1000, tid="t0", label=0):
 def test_segment_exact_fit():
     segs, skipped = segment_tracks([track_of(30)], 30.0, 15.0)
     assert len(segs) == 1 and skipped == 0
-    assert segs[0].offset == 0.0 and segs[0].duration == 30.0
+    assert segs[0].offset == 0.0 and segs[0].samples.size == 30 * 1000
 
 
 def test_segment_60s_gives_three_offsets():
@@ -236,8 +236,7 @@ def many_segments(tracks_per_class=10, classes=2, segs_per_track=4):
         for t in range(tracks_per_class):
             tid = f"c{label}t{t}"
             for k in range(segs_per_track):
-                segs.append(audio.AudioSegment(tid, float(k), 1.0,
-                                               np.ones(100) * 0.1, label, 100))
+                segs.append(audio.AudioSegment(tid, float(k), np.ones(100) * 0.1, label, 100))
     return segs
 
 
@@ -276,7 +275,7 @@ def test_split_minimum_three_tracks_per_split():
 
 def test_split_error_names_starved_class():
     segs = many_segments(tracks_per_class=4, classes=1)
-    starved = [audio.AudioSegment(f"solo{t}", 0.0, 1.0, np.ones(10) * 0.1, 7, 10)
+    starved = [audio.AudioSegment(f"solo{t}", 0.0, np.ones(10) * 0.1, 7, 10)
                for t in range(2)]
     with pytest.raises(SplitError, match="class 7"):
         split_track_disjoint(segs + starved, (0.7, 0.15, 0.15), seed=0)

@@ -254,7 +254,7 @@ def test_bank_mismatch_detected(kind, sample_rate, fft_size):
 
 def test_normalize_train_set_standardizes():
     arrays = [rng.standard_normal((20, 6)) * 3.0 + 5.0 for _ in range(4)]
-    stats = compute_feature_stats(arrays, "mel")
+    stats = compute_feature_stats(np.stack(arrays), "mel")
     normalized = np.concatenate([normalize_features(stats, a).reshape(-1) for a in arrays])
     assert abs(normalized.mean()) < 1e-6
     assert abs(normalized.std() - 1.0) < 1e-6
@@ -262,14 +262,14 @@ def test_normalize_train_set_standardizes():
 
 def test_normalize_constant_input_with_floored_std():
     arrays = [np.full((4, 4), 2.5)]
-    stats = compute_feature_stats(arrays, "cqt")
+    stats = compute_feature_stats(np.stack(arrays), "cqt")
     assert stats.std == 1e-8
     assert np.all(normalize_features(stats, arrays[0]) == 0.0)
 
 
 def test_normalize_is_pure_affine_on_heldout_data():
     train = [rng.standard_normal((10, 5)) for _ in range(3)]
-    stats = compute_feature_stats(train, "mel")
+    stats = compute_feature_stats(np.stack(train), "mel")
     val = rng.standard_normal((10, 5))
     out = normalize_features(stats, val)
     corr = np.corrcoef(val.reshape(-1), out.reshape(-1))[0, 1]

@@ -66,7 +66,7 @@ def test_eps_floor_holds_in_float32():
     # 1e-20 squared is below float32's smallest normal; eps keeps the
     # step finite and tiny instead of lr-sized.
     p = Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
-    opt = AdamW({"p": p})
+    opt = AdamW({"p": p}, lr=5e-4, weight_decay=1e-5)
     for _ in range(3):
         p.grad = np.full(4, 1e-20, dtype=np.float32)
         opt.step()

@@ -4,6 +4,7 @@ import json
 import re
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,29 +15,49 @@ from icl.cli import main
 from icl.config import resolve_config
 
 
+def _split(out: Path, cfg: dict) -> audio.SplitAssignment:
+    """The track-disjoint split of the cached segments, built from index.json
+    alone, as perfbench/checks.py builds it."""
+    index = json.loads((out / "features" / "index.json").read_text())
+    refs = [SimpleNamespace(parent_track_id=s["track"], label=s["label"], segment_id=s["id"])
+            for s in index["segments"]]
+    return audio.split_track_disjoint(refs, tuple(cfg["split"]["ratios"]), seed=cfg["seed"])
+
+
+def _reference_inputs(out: Path, run_name: str, kinds, ids) -> dict:
+    """Encoder inputs [n, 1, H, W] per kind for the segments ids, read from
+    their cache files and normalized with the run's stats.json."""
+    stats = json.loads((out / "runs" / run_name / "stats.json").read_text())
+    return {k: ((np.stack([features.read_feature_cache(out / "features" / k / f"{sid}.iclf")[2]
+                           for sid in ids]).astype(np.float64)
+                 - stats[k]["mean"]) / stats[k]["std"])[:, None] for k in kinds}
+
+
+def _counting_reads(monkeypatch) -> list:
+    """The paths of every features.read_feature_cache call from now on."""
+    read, calls = features.read_feature_cache, []
+    monkeypatch.setattr(features, "read_feature_cache",
+                        lambda path: calls.append(path) or read(path))
+    return calls
+
+
 def test_cam_reads_one_cache_file_per_kind(micro_run, monkeypatch):
     out, run_name, cfg = micro_run
     kinds = ("mel", "cqt")
-    read = features.read_feature_cache
-    calls = []
-    monkeypatch.setattr(features, "read_feature_cache",
-                        lambda path: calls.append(path) or read(path))
+    calls = _counting_reads(monkeypatch)
     written = pipeline.cmd_cam(out, run_name, split="val", index=1, class_index=2)
     assert len(calls) == len(kinds)
     monkeypatch.undo()
 
-    stats = {k: features.FeatureStats(k, v["mean"], v["std"]) for k, v in json.loads(
-        (out / "runs" / run_name / "stats.json").read_text()).items()}
-    data, _ = pipeline.load_dataset(cfg, out, kinds, stats=stats)
-    sid = data.segment_ids["val"][1]
+    sid = _split(out, cfg).val[1].segment_id
     assert all(sid in str(p) for p in written)
     params = pipeline.load_checkpoint(out / "runs" / run_name / "checkpoint.iclc")
-    batch = {k: data.features[k]["val"][1:2] for k in kinds}
+    batch = _reference_inputs(out, run_name, kinds, [sid])
     _, outputs = training._forward({n: training.Tensor(p) for n, p in params.items()},
                                    pipeline.encoder_configs(cfg, kinds), kinds, batch)
     for kind in kinds:
         cam = model.compute_cam(outputs[kind].feature_maps.data[0], params["head/w"], 2,
-                                batch[kind].shape[2:], kind=kind)
+                                batch[kind].shape[2:])
         csv = out / "runs" / run_name / f"cam_{sid}_{kind}_c2.csv"
         assert np.array_equal(np.loadtxt(csv, delimiter=",", ndmin=2), cam.raw)
 
@@ -90,25 +111,77 @@ def test_cache_index_without_config_is_refused(micro_run, tmp_path):
 def test_eval_reads_only_the_test_rows(micro_run, monkeypatch):
     out, run_name, cfg = micro_run
     kinds = ("mel", "cqt")
-    read = features.read_feature_cache
-    calls = []
-    monkeypatch.setattr(features, "read_feature_cache",
-                        lambda path: calls.append(path) or read(path))
+    calls = _counting_reads(monkeypatch)
     doc = pipeline.cmd_eval(out, run_name)
     monkeypatch.undo()
     assert len(calls) == doc["n_test"] * len(kinds)
 
-    # Scored exactly as on rows of the whole normalized dataset.
-    run_dir = out / "runs" / run_name
-    stats = {k: features.FeatureStats(k, v["mean"], v["std"])
-             for k, v in json.loads((run_dir / "stats.json").read_text()).items()}
-    data, _ = pipeline.load_dataset(cfg, out, kinds, stats=stats)
-    probs = training.predict_proba(pipeline.load_checkpoint(run_dir / "checkpoint.iclc"),
-                                   pipeline.encoder_configs(cfg, kinds), kinds,
-                                   {k: data.features[k]["test"] for k in kinds})
-    assert [s["segment_id"] for s in doc["samples"]] == data.segment_ids["test"]
-    assert [s["label"] for s in doc["samples"]] == data.labels["test"].tolist()
+    # Scored exactly as on the test rows read straight from the cache.
+    test = _split(out, cfg).test
+    ids = [r.segment_id for r in test]
+    probs = training.predict_proba(
+        pipeline.load_checkpoint(out / "runs" / run_name / "checkpoint.iclc"),
+        pipeline.encoder_configs(cfg, kinds), kinds, _reference_inputs(out, run_name, kinds, ids))
+    assert [s["segment_id"] for s in doc["samples"]] == ids
+    assert [s["label"] for s in doc["samples"]] == [r.label for r in test]
     assert [s["probs"] for s in doc["samples"]] == probs.tolist()
+
+
+def test_train_reads_only_the_train_and_val_rows(micro_run, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    shutil.copytree(micro_run[0], out)
+    cfg = micro_run[2]
+    kinds = ("mel", "cqt")
+    calls = _counting_reads(monkeypatch)
+    run_dir = pipeline.cmd_train(cfg, out, "reads")
+    monkeypatch.undo()
+    split = _split(out, cfg)
+    assert len(calls) == (len(split.train) + len(split.val)) * len(kinds)
+
+    # The stats are those of the train rows alone.
+    stats = json.loads((run_dir / "stats.json").read_text())
+    for kind in kinds:
+        rows = [features.read_feature_cache(out / "features" / kind / f"{r.segment_id}.iclf")[2]
+                for r in split.train]
+        train = np.stack(rows).astype(np.float64)
+        assert stats[kind] == {"mean": float(train.mean()), "std": float(train.std())}
+
+
+@pytest.mark.parametrize("fault", ["frames", "kind"])
+@pytest.mark.parametrize("command", ["train", "eval", "cam"])
+def test_cache_file_that_disagrees_with_the_index_ends_in_one_error_line(
+        micro_run, tmp_path, capsys, command, fault):
+    """A valid ICLF file with one frame less, or with the CQT kind code, in
+    features/mel/ is refused by the first command that reads it."""
+    out = tmp_path / "out"
+    shutil.copytree(micro_run[0], out)
+    split = _split(out, micro_run[2])
+    ref = (split.train if command == "train" else split.test)[0]
+    victim = out / "features" / "mel" / f"{ref.segment_id}.iclf"
+    _, label, values = features.read_feature_cache(victim)
+    if fault == "frames":
+        features.write_feature_cache(victim, values[:-1], "mel", label)
+    else:
+        features.write_feature_cache(victim, values, "cqt", label)
+    argv = {"train": ["train", "--out", str(out), *_micro_args()],
+            "eval": ["eval", "--out", str(out), "--run", micro_run[1]],
+            "cam": ["cam", "--out", str(out), "--run", micro_run[1], "--index", "0"]}[command]
+    before = sorted(out.rglob("*"))
+    err = _one_error_line(capsys, argv)
+    assert sorted(out.rglob("*")) == before
+    assert str(victim) in err
+    n_frames, n_bins = values.shape
+    assert (f"holds a {n_frames - 1}x{n_bins} matrix; the index records {n_frames}x{n_bins}"
+            if fault == "frames" else "holds cqt features, not mel") in err
+
+
+def test_checkpoint_with_trailing_bytes_ends_in_one_error_line(micro_run, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(micro_run[0], out)
+    path = out / "runs" / micro_run[1] / "checkpoint.iclc"
+    path.write_bytes(path.read_bytes() + bytes(8))
+    err = _one_error_line(capsys, ["eval", "--out", str(out), "--run", micro_run[1]])
+    assert f"checkpoint {path} has 8 bytes after its last parameter" in err
 
 
 def _one_error_line(capsys, argv: list[str]) -> str:
@@ -125,6 +198,11 @@ def _micro_args(*extra: str) -> list[str]:
     return args
 
 
+def _one_track_manifest(label: str) -> str:
+    """A manifest of one existing track whose label is the JSON text label."""
+    return '{"tracks": [{"track_id": "t", "path": "wavs/synth_c0_t0.wav", "label": %s}]}' % label
+
+
 @pytest.mark.parametrize("victim, content, command", [
     ("runs/{run}/run.json", "{not json", "report"),
     ("runs/{run}/eval.json", "[", "report"),
@@ -132,6 +210,10 @@ def _micro_args(*extra: str) -> list[str]:
     ("runs/{run}/checkpoint.iclc", "ICLC\x01", "eval"),
     ("manifest.json", "tracks: none", "extract"),
     ("manifest.json", '{"tracks": 3}', "extract"),
+    ("manifest.json", _one_track_manifest("1.7"), "extract"),
+    ("manifest.json", _one_track_manifest("true"), "extract"),
+    ("manifest.json", _one_track_manifest("-1"), "extract"),
+    ("manifest.json", _one_track_manifest('"1"'), "extract"),
 ])
 def test_damaged_artifact_ends_in_one_error_line(micro_run, tmp_path, capsys,
                                                  victim, content, command):

@@ -38,9 +38,7 @@ def toy_data(n_train=24, n_val=8, n_test=8, h=16, w=12, n_classes=3, seed=0):
             base = rng.standard_normal((n, 1, h, w)) * 0.5
             base += labels[s][:, None, None, None] * 0.8
             feats[kind][s] = base
-    return DatasetSplits(features=feats, labels=labels, n_classes=n_classes,
-                         segment_ids={s: [f"{s}{i}" for i in range(n)]
-                                      for s, n in sizes.items()})
+    return DatasetSplits(features=feats, labels=labels, n_classes=n_classes)
 
 
 def settings(**kw):
@@ -50,11 +48,15 @@ def settings(**kw):
     return TrainSettings(**base)
 
 
+def epoch_log(path) -> list[dict]:
+    """The per-epoch records ``train`` wrote to path."""
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
 def test_training_is_deterministic(tmp_path):
     data = toy_data()
     run1 = train(data, TINY_CFG, settings(), log_path=tmp_path / "a.jsonl")
     run2 = train(data, TINY_CFG, settings(), log_path=tmp_path / "b.jsonl")
-    assert run1.history == run2.history
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
     for name in run1.best_params:
         assert np.array_equal(run1.best_params[name], run2.best_params[name])
@@ -109,7 +111,7 @@ def test_concurrent_step_gives_the_whole_graph_gradients(kinds, alpha):
 
 
 @pytest.mark.parametrize("bad", ["mel", "cqt"])
-def test_nonfinite_encoder_ends_the_step_after_both_encoders(monkeypatch, bad):
+def test_nonfinite_encoder_ends_the_step_after_both_encoders(monkeypatch, tmp_path, bad):
     """A non-finite batch of either kind ends in the TrainingError naming the
     step, and only once the other encoder, held back here, has finished."""
     data = toy_data()
@@ -128,7 +130,7 @@ def test_nonfinite_encoder_ends_the_step_after_both_encoders(monkeypatch, bad):
     monkeypatch.setattr(training.model, "encoder_forward", slow_forward)
     threads = set(threading.enumerate())
     with pytest.raises(TrainingError, match=r"epoch 1, batch 0: non-finite values in output"):
-        train(data, TINY_CFG, settings())
+        train(data, TINY_CFG, settings(), tmp_path / "m.jsonl")
     assert sorted(finished) == ["cqt", "mel"]
     assert set(threading.enumerate()) == threads
 
@@ -156,11 +158,11 @@ def test_concurrently_waits_for_the_helper_before_raising():
     assert training._concurrently([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
 
 
-def test_seed_changes_trajectory():
+def test_seed_changes_trajectory(tmp_path):
     data = toy_data()
-    run1 = train(data, TINY_CFG, settings())
-    run2 = train(data, TINY_CFG, settings(seed=1))
-    assert run1.history != run2.history
+    train(data, TINY_CFG, settings(), tmp_path / "a.jsonl")
+    train(data, TINY_CFG, settings(seed=1), tmp_path / "b.jsonl")
+    assert (tmp_path / "a.jsonl").read_bytes() != (tmp_path / "b.jsonl").read_bytes()
 
 
 @pytest.fixture
@@ -179,28 +181,28 @@ def batch_losses(monkeypatch):
     return records
 
 
-def test_alpha_zero_equals_plain_ce_batch_for_batch(batch_losses):
+def test_alpha_zero_equals_plain_ce_batch_for_batch(batch_losses, tmp_path):
     data = toy_data()
-    train(data, TINY_CFG, settings(alpha=0.0))
+    train(data, TINY_CFG, settings(alpha=0.0), tmp_path / "m.jsonl")
     assert batch_losses, "expected per-batch records"
     for rec in batch_losses:
         assert rec.icl == 0.0
         assert rec.total == rec.ce
 
 
-def test_alpha_positive_adds_contrastive_term(batch_losses):
+def test_alpha_positive_adds_contrastive_term(batch_losses, tmp_path):
     data = toy_data()
-    train(data, TINY_CFG, settings(alpha=0.5))
+    train(data, TINY_CFG, settings(alpha=0.5), tmp_path / "m.jsonl")
     for rec in batch_losses:
         assert rec.icl > 0.0
         assert abs(rec.total - (rec.ce + 0.5 * rec.icl)) < 1e-12
 
 
-def test_contrastive_batch_of_one_trains_on_ce_alone(batch_losses):
+def test_contrastive_batch_of_one_trains_on_ce_alone(batch_losses, tmp_path):
     # 25 = 3 * 8 + 1: the last batch of each epoch holds one sample. Its
     # 1x1 similarity matrix has a contrastive loss of exactly 0.
     data = toy_data(n_train=25)
-    train(data, TINY_CFG, settings(alpha=0.5))
+    train(data, TINY_CFG, settings(alpha=0.5), tmp_path / "m.jsonl")
     batches = [step % 4 for step in range(len(batch_losses))]  # 4 batches per epoch
     for batch, rec in zip(batches, batch_losses):
         if batch == 3:
@@ -210,20 +212,20 @@ def test_contrastive_batch_of_one_trains_on_ce_alone(batch_losses):
     assert batches.count(3) == 2
 
 
-def test_baseline_mode_ignores_alpha(batch_losses):
+def test_baseline_mode_ignores_alpha(batch_losses, tmp_path):
     data = toy_data()
-    run_a = train(data, TINY_CFG, settings(mode="mel", alpha=0.9))
+    train(data, TINY_CFG, settings(mode="mel", alpha=0.9), tmp_path / "a.jsonl")
     records_a = list(batch_losses)
-    run_b = train(data, TINY_CFG, settings(mode="mel", alpha=0.0))
-    assert run_a.history == run_b.history
+    train(data, TINY_CFG, settings(mode="mel", alpha=0.0), tmp_path / "b.jsonl")
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
     for rec in records_a:
         assert rec.icl == 0.0 and rec.total == rec.ce
 
 
-def test_best_checkpoint_is_latest_max_val_accuracy():
+def test_best_checkpoint_is_latest_max_val_accuracy(tmp_path):
     data = toy_data()
-    run = train(data, TINY_CFG, settings(epochs=4))
-    accs = [r.val_accuracy for r in run.history]
+    run = train(data, TINY_CFG, settings(epochs=4), tmp_path / "m.jsonl")
+    accs = [r["val_accuracy"] for r in epoch_log(tmp_path / "m.jsonl")]
     assert run.best_val_accuracy == max(accs)
     assert run.best_epoch == max(i + 1 for i, a in enumerate(accs) if a == max(accs))
 
@@ -231,24 +233,23 @@ def test_best_checkpoint_is_latest_max_val_accuracy():
 def test_metrics_log_schema(tmp_path):
     data = toy_data()
     train(data, TINY_CFG, settings(), log_path=tmp_path / "m.jsonl")
-    lines = (tmp_path / "m.jsonl").read_text().splitlines()
-    assert len(lines) == 2
-    for i, line in enumerate(lines):
-        rec = json.loads(line)
+    records = epoch_log(tmp_path / "m.jsonl")
+    assert len(records) == 2
+    for i, rec in enumerate(records):
         assert sorted(rec) == ["ce", "epoch", "icl", "total", "val_accuracy"]
         assert rec["epoch"] == i + 1
 
 
-def test_nonfinite_input_aborts_with_location():
+def test_nonfinite_input_aborts_with_location(tmp_path):
     data = toy_data()
     data.features["mel"]["train"][3, 0, 2, 2] = np.nan
     with pytest.raises(TrainingError, match=r"epoch 1, batch \d"):
-        train(data, TINY_CFG, settings())
+        train(data, TINY_CFG, settings(), tmp_path / "m.jsonl")
 
 
-def test_predict_proba_rows_are_distributions():
+def test_predict_proba_rows_are_distributions(tmp_path):
     data = toy_data()
-    run = train(data, TINY_CFG, settings())
+    run = train(data, TINY_CFG, settings(), tmp_path / "m.jsonl")
     probs = predict_proba(run.best_params, TINY_CFG, ("mel", "cqt"),
                           {k: data.features[k]["test"] for k in ("mel", "cqt")})
     assert probs.shape == (8, 3)
@@ -277,7 +278,7 @@ def test_predict_logits_on_live_params_is_graph_free(monkeypatch):
     assert all(p.grad is None for p in params.values())
 
 
-def test_training_steps_run_in_float32(monkeypatch):
+def test_training_steps_run_in_float32(monkeypatch, tmp_path):
     """One contrastive step: every node of the loss graph, every gradient and
     AdamW's moments are float32, so nothing is upcast on the way. A step
     runs one backward for the head and one per encoder; the graph is their
@@ -296,8 +297,8 @@ def test_training_steps_run_in_float32(monkeypatch):
 
     monkeypatch.setattr(training.ad, "backward", spy_backward)
     monkeypatch.setattr(AdamW, "step", spy_step)
-    run = train(toy_data(n_train=8), TINY_CFG, settings(epochs=1))
-    assert run.history[0].icl > 0
+    run = train(toy_data(n_train=8), TINY_CFG, settings(epochs=1), tmp_path / "m.jsonl")
+    assert epoch_log(tmp_path / "m.jsonl")[0]["icl"] > 0
     assert {"conv2d", "l2_normalize", "weighted_sum"} <= {n._op for n in seen["nodes"]}
     assert all(n.data.dtype == np.float32 for n in seen["nodes"])
     assert all(g is not None and g.dtype == np.float32 for g in seen["grads"])
@@ -330,11 +331,11 @@ def test_settings_validation():
     assert settings().feature_kinds == ("mel", "cqt")
 
 
-def test_missing_feature_kind_rejected():
+def test_missing_feature_kind_rejected(tmp_path):
     data = toy_data()
     del data.features["cqt"]
     with pytest.raises(TrainingError, match="no 'cqt' features"):
-        train(data, TINY_CFG, settings())
+        train(data, TINY_CFG, settings(), tmp_path / "m.jsonl")
 
 
 def test_desk_loss_curve_mostly_decreasing(desk_experiment):
