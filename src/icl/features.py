@@ -38,6 +38,7 @@ CACHE_MAGIC = b"ICLF"
 CACHE_VERSION = 1
 _CACHE_HEADER = struct.Struct("<HBIII")  # version, kind code, frames, bins, label
 CACHE_HEADER_BYTES = len(CACHE_MAGIC) + _CACHE_HEADER.size  # 19
+MAX_LABEL = 2**32 - 1  # the largest label the header's u32 holds
 
 
 class FeatureError(IclError):
@@ -217,8 +218,9 @@ class CqtKernelBank:
     fft_size: int
 
 
-def build_cqt_kernels(cfg: FrameConfig, sample_rate: float, f_min: float = 50.0,
-                      f_max: float | None = None, bins_per_octave: int = 36) -> CqtKernelBank:
+def build_cqt_kernels(cfg: FrameConfig, sample_rate: float, f_min: float,
+                      f_max: float | None, bins_per_octave: int) -> CqtKernelBank:
+    """Kernels for bins from f_min up to f_max (0.95 x Nyquist when None)."""
     nyquist = sample_rate / 2.0
     f_max = 0.95 * nyquist if f_max is None else f_max
     if f_max > nyquist:

@@ -30,7 +30,7 @@ from . import audio, features, metrics, model, reporting, training
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (encoder_configs, frame_config, synthesis_spec, train_settings,
                      validate_config)
-from .errors import IclError, read_json, write_json
+from .errors import IclError, is_int, read_json, write_json
 
 
 class PipelineError(IclError):
@@ -132,12 +132,15 @@ def cmd_extract(cfg: dict, out_dir) -> dict:
 
 
 def _parse_index(index: dict):
-    refs = [SimpleNamespace(parent_track_id=s["track"], label=int(s["label"]), segment_id=s["id"])
+    refs = [SimpleNamespace(parent_track_id=s["track"], label=s["label"], segment_id=s["id"])
             for s in index["segments"]]
-    n_classes = int(index["n_classes"])
+    n_classes = index["n_classes"]
+    if not is_int(n_classes):
+        raise ValueError(f"n_classes must be an integer, got {n_classes!r}")
     if not refs or not all(isinstance(r.segment_id, str) and isinstance(r.parent_track_id, str)
-                           and 0 <= r.label < n_classes for r in refs):
-        raise ValueError("segments need string ids and tracks and labels in [0, n_classes)")
+                           and is_int(r.label) and 0 <= r.label < n_classes for r in refs):
+        raise ValueError("segments need string ids and tracks and integer labels "
+                         "in [0, n_classes)")
     kinds = index["kinds"]
     if not all(k in features.KINDS for k in kinds):
         raise ValueError(f"kinds must list stft|mel|cqt, got {kinds!r}")

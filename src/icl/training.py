@@ -12,6 +12,15 @@ thread. The encoders share no tensor, and each one's graph sums the same
 terms in the same order as one backward through the whole model, so
 identical configurations produce bit-identical logs and checkpoints.
 
+Inference (validation in every epoch, and ``eval``) runs the encoders the
+same way: each encodes the whole split in near-equal chunks of at most
+``PREDICT_BATCH`` rows, and the calling thread sums the embeddings and
+runs the head once. A chunk has one row only when the split has one, so
+the logits equal one pass over the whole split. A baseline mode has one
+encoder and starts no thread. ``cam`` explains one segment: it runs
+``_forward`` on the calling thread, as a one-row chunk runs slower on
+two threads.
+
 ``train`` writes one JSON line per epoch to its log (``metrics.jsonl`` in
 a run); that log is the one per-epoch record. ``TrainRun`` holds only the
 kept parameters, their epoch and their validation accuracy.
@@ -22,7 +31,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -34,7 +43,7 @@ from .optim import AdamW, NonFiniteGradientError
 
 MODE_ICL = "icl"
 BASELINE_MODES = ("mel", "cqt", "stft")
-PREDICT_BATCH = 64
+PREDICT_BATCH = 8
 
 
 class TrainingError(IclError):
@@ -165,9 +174,20 @@ def _train_step(params: dict[str, Tensor], enc_cfgs, kinds,
     return breakdown
 
 
+def _embed_in_chunks(params: dict[str, Tensor], cfg: model.EncoderConfig,
+                     x: np.ndarray) -> np.ndarray:
+    """One encoder's embeddings [n, D] of x, in ceil(n / PREDICT_BATCH)
+    near-equal chunks: none longer than PREDICT_BATCH, none of one row
+    unless n == 1."""
+    chunks = np.array_split(x, -(-x.shape[0] // PREDICT_BATCH))
+    return np.concatenate([model.encoder_forward(params, cfg, Tensor(c)).embedding.data
+                           for c in chunks])
+
+
 def predict_logits(params, enc_cfgs, kinds, features: dict[str, np.ndarray]) -> np.ndarray:
-    """Forward-only logits for a whole split, in batches of ``PREDICT_BATCH``;
-    accepts Tensor or ndarray params.
+    """Forward-only logits for a whole split; accepts Tensor or ndarray params.
+    The encoders run concurrently, each over the split in chunks (see
+    ``_embed_in_chunks``); the head runs once on the summed embeddings.
 
     Parameters are rewrapped as float64 in fresh Tensors that need no
     gradient, so the forward pass builds no graph, even on live float32
@@ -175,13 +195,9 @@ def predict_logits(params, enc_cfgs, kinds, features: dict[str, np.ndarray]) -> 
     """
     tensors = {n: Tensor(p.data if isinstance(p, Tensor) else p, dtype=np.float64)
                for n, p in params.items()}
-    n = next(iter(features.values())).shape[0]
-    chunks = []
-    for start in range(0, n, PREDICT_BATCH):
-        batch = {k: v[start: start + PREDICT_BATCH] for k, v in features.items()}
-        logits, _ = _forward(tensors, enc_cfgs, kinds, batch)
-        chunks.append(logits.data)
-    return np.concatenate(chunks, axis=0)
+    embs = _concurrently([partial(_embed_in_chunks, _encoder_params(tensors, kind),
+                                  enc_cfgs[kind], features[kind]) for kind in kinds])
+    return model.classify(Tensor(reduce(np.add, embs)), tensors).data
 
 
 def predict_proba(params, enc_cfgs, kinds, features) -> np.ndarray:

@@ -190,7 +190,8 @@ def test_cqt_invalid_ranges():
     with pytest.raises(FeatureError):
         cqt_frequencies(400.0, 100.0, 36)
     with pytest.raises(FeatureError, match="Nyquist"):
-        build_cqt_kernels(FrameConfig(), 2000, f_min=100.0, f_max=1500.0)
+        build_cqt_kernels(FrameConfig(), 2000, f_min=100.0, f_max=1500.0,
+                          bins_per_octave=36)
 
 
 def test_cqt_tone_hits_matching_bin():

@@ -3,6 +3,7 @@
 import json
 import re
 import shutil
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -60,6 +61,21 @@ def test_cam_reads_one_cache_file_per_kind(micro_run, monkeypatch):
                                 batch[kind].shape[2:])
         csv = out / "runs" / run_name / f"cam_{sid}_{kind}_c2.csv"
         assert np.array_equal(np.loadtxt(csv, delimiter=",", ndmin=2), cam.raw)
+
+
+def test_cam_starts_no_thread_and_eval_starts_one(micro_run, tmp_path, monkeypatch):
+    """cam explains one segment on the calling thread: two threads run a
+    one-row forward no faster. eval runs the CQT encoder on a helper."""
+    out = tmp_path / "out"
+    shutil.copytree(micro_run[0], out)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    pipeline.cmd_cam(out, micro_run[1], index=1, class_index=0)
+    assert started == []
+    pipeline.cmd_eval(out, micro_run[1])
+    assert len(started) == 1
 
 
 def test_truncated_cache_file_fails_train_with_one_error_line(micro_run, tmp_path, capsys):
@@ -214,6 +230,8 @@ def _one_track_manifest(label: str) -> str:
     ("manifest.json", _one_track_manifest("true"), "extract"),
     ("manifest.json", _one_track_manifest("-1"), "extract"),
     ("manifest.json", _one_track_manifest('"1"'), "extract"),
+    # The feature cache stores labels as u32.
+    ("manifest.json", _one_track_manifest(str(2**32)), "extract"),
 ])
 def test_damaged_artifact_ends_in_one_error_line(micro_run, tmp_path, capsys,
                                                  victim, content, command):
@@ -255,6 +273,23 @@ def _null_kind(index):
     index["kinds"][1] = None
 
 
+def _label_one(index) -> dict:
+    """The first segment of class 1: a label that counts as 1 leaves it correct."""
+    return next(s for s in index["segments"] if s["label"] == 1)
+
+
+def _true_label(index):
+    _label_one(index)["label"] = True
+
+
+def _fractional_label(index):
+    _label_one(index)["label"] = 1.5
+
+
+def _fractional_n_classes(index):
+    index["n_classes"] += 0.5
+
+
 def _drop_split(cfg):
     del cfg["split"]
 
@@ -286,6 +321,10 @@ def _drop_accuracy(ev):
 @pytest.mark.parametrize("victim, edit, command", [
     ("features/index.json", _drop_segments, "train"),
     ("features/index.json", _null_kind, "train"),
+    ("features/index.json", _true_label, "train"),
+    ("features/index.json", _true_label, "eval"),
+    ("features/index.json", _fractional_label, "eval"),
+    ("features/index.json", _fractional_n_classes, "eval"),
     ("runs/{run}/stats.json", _drop_mel_std, "eval"),
     ("runs/{run}/stats.json", _zero_mel_std, "eval"),
     ("runs/{run}/stats.json", _negative_mel_std, "eval"),

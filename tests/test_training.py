@@ -63,8 +63,9 @@ def test_training_is_deterministic(tmp_path):
 
 
 def test_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """`icl train` in a fresh process at 1 and at 2 BLAS threads writes the
-    same checkpoint and metrics: importing icl pins BLAS to one thread."""
+    """`icl train` and `icl eval` in a fresh process at 1 and at 2 BLAS threads
+    write the same checkpoint, metrics and eval.json: importing icl pins BLAS
+    to one thread."""
     data = tmp_path / "data"
     cfg = resolve_config(preset="desk", env={})
     pipeline.cmd_synth(cfg, data)
@@ -77,11 +78,12 @@ def test_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        subprocess.run([sys.executable, "-m", "icl.cli", "train", "--out", str(out),
-                        "--preset", "desk", "--set", "training.epochs=1", "--run-name", "r"],
-                       env=env, check=True, capture_output=True)
+        for args in (["train", "--preset", "desk", "--set", "training.epochs=1",
+                      "--run-name", "r"], ["eval", "--run", "r"]):
+            subprocess.run([sys.executable, "-m", "icl.cli", args[0], "--out", str(out),
+                            *args[1:]], env=env, check=True, capture_output=True)
         written.append({name: hashlib.sha256((out / "runs" / "r" / name).read_bytes()).hexdigest()
-                        for name in ("checkpoint.iclc", "metrics.jsonl")})
+                        for name in ("checkpoint.iclc", "metrics.jsonl", "eval.json")})
     assert written[0] == written[1]
 
 
@@ -256,6 +258,20 @@ def test_predict_proba_rows_are_distributions(tmp_path):
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
+def _spy_encoder_forward(monkeypatch) -> list:
+    """Every (kind, encoder output) of model.encoder_forward from now on."""
+    seen = []
+    forward = training.model.encoder_forward
+
+    def spy(params, cfg, x):
+        out = forward(params, cfg, x)
+        seen.append((cfg.input_kind, out))
+        return out
+
+    monkeypatch.setattr(training.model, "encoder_forward", spy)
+    return seen
+
+
 def test_predict_logits_on_live_params_is_graph_free(monkeypatch):
     data = toy_data()
     kinds = ("mel", "cqt")
@@ -263,19 +279,61 @@ def test_predict_logits_on_live_params_is_graph_free(monkeypatch):
     batch = {k: data.features[k]["val"] for k in kinds}
     want, _ = training._forward(params, TINY_CFG, kinds, batch)
 
-    seen = []
-    forward = training._forward
-
-    def spy(*args):
-        logits, outputs = forward(*args)
-        seen.append(logits)
-        return logits, outputs
-
-    monkeypatch.setattr(training, "_forward", spy)
+    seen = _spy_encoder_forward(monkeypatch)
     got = training.predict_logits(params, TINY_CFG, kinds, batch)
     assert np.array_equal(got, want.data)
-    assert seen and all(t._parents == () and t._backward is None for t in seen)
+    assert seen and all(t._parents == () and t._backward is None
+                        for _, out in seen for t in (out.feature_maps, out.embedding))
     assert all(p.grad is None for p in params.values())
+
+
+@pytest.mark.parametrize("kinds", [("mel", "cqt"), ("cqt",)])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 28])
+def test_predict_logits_in_chunks_equals_one_forward(monkeypatch, kinds, n):
+    """Each encoder runs in chunks of at most PREDICT_BATCH = 8 rows, none of
+    one row unless the split has one, and the logits equal one pass of
+    ``_forward`` over the whole split."""
+    rng = np.random.default_rng(n)
+    params = training.init_model_params(kinds, TINY_CFG, 3, seed=0)
+    batch = {k: rng.standard_normal((n, 1, 16, 12)) for k in kinds}
+    want, _ = training._forward(params, TINY_CFG, kinds, batch)
+
+    seen = _spy_encoder_forward(monkeypatch)
+    got = training.predict_logits(params, TINY_CFG, kinds, batch)
+    assert np.array_equal(got, want.data)
+    for kind in kinds:
+        rows = [out.embedding.shape[0] for k, out in seen if k == kind]
+        assert sum(rows) == n and max(rows) <= 8, rows
+        assert n == 1 or min(rows) > 1, rows
+
+
+@pytest.mark.parametrize("bad", ["mel", "cqt"])
+def test_nonfinite_rows_end_predict_logits_after_both_encoders(monkeypatch, bad):
+    """A NaN in either kind's rows raises NonFiniteError only once the other
+    encoder, held back here, has run every one of its chunks; no helper
+    thread is left."""
+    data = toy_data(n_val=20)
+    kinds = ("mel", "cqt")
+    params = training.init_model_params(kinds, TINY_CFG, data.n_classes, seed=0)
+    batch = {k: data.features[k]["val"] for k in kinds}
+    batch[bad][:] = np.nan
+    finished = []
+    forward = training.model.encoder_forward
+
+    def slow_forward(params, cfg, x):
+        if cfg.input_kind != bad:
+            time.sleep(0.1)
+        out = forward(params, cfg, x)
+        finished.append(cfg.input_kind)
+        return out
+
+    monkeypatch.setattr(training.model, "encoder_forward", slow_forward)
+    threads = threading.active_count()
+    with pytest.raises(training.ad.NonFiniteError):
+        training.predict_logits(params, TINY_CFG, kinds, batch)
+    good = "cqt" if bad == "mel" else "mel"
+    assert finished.count(good) == 3  # 20 rows in chunks of 7, 7 and 6
+    assert threading.active_count() == threads
 
 
 def test_training_steps_run_in_float32(monkeypatch, tmp_path):
