@@ -22,7 +22,6 @@ import numpy as np
 
 from . import wavio
 from .errors import IclError, is_finite, is_int, read_json, write_json
-from .features import MAX_LABEL
 
 
 class AudioError(IclError):
@@ -212,9 +211,9 @@ def write_manifest(path, entries: list[dict], synthesis: SynthesisSpec | None = 
 
 
 def _manifest_entry(e: dict, root: Path) -> tuple:
-    if not (is_int(e["label"]) and 0 <= e["label"] <= MAX_LABEL):
-        raise AudioError(f"track {e['track_id']!r}: label must be an integer in "
-                         f"[0, {MAX_LABEL}], got {e['label']!r}")
+    if not (is_int(e["label"]) and e["label"] >= 0):
+        raise AudioError(f"track {e['track_id']!r}: label must be an integer >= 0, "
+                         f"got {e['label']!r}")
     return e["track_id"], e["label"], root / e["path"]
 
 

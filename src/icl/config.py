@@ -214,7 +214,7 @@ def validate_config(cfg: dict) -> dict:
     # A null seed would make the split draw from fresh entropy, unseen.
     _check(is_int(cfg["seed"]) and cfg["seed"] >= 0, "seed",
            f"must be an integer >= 0, got {cfg['seed']!r}")
-    mode = train_settings(cfg).mode
+    settings = train_settings(cfg)
     encoder_configs(cfg, ("mel",))
     frame_config(cfg)
     # Segmentation and the split check their own parameters; on no input
@@ -228,9 +228,9 @@ def validate_config(cfg: dict) -> dict:
         feats = cfg["features"]
         _check(all(k in features.KINDS for k in feats["kinds"]), "features.kinds",
                f"entries must be stft|mel|cqt, got {feats['kinds']}")
-        for kind in ("mel", "cqt") if mode == training.MODE_ICL else (mode,):
+        for kind in settings.feature_kinds:
             _check(kind in feats["kinds"], "features.kinds",
-                   f"mode {mode!r} needs {kind!r} in extracted kinds {feats['kinds']}")
+                   f"mode {settings.mode!r} needs {kind!r} in extracted kinds {feats['kinds']}")
         for block, key in (("mel", "n_filters"), ("cqt", "bins_per_octave")):
             value = feats[block][key]
             _check(is_int(value), f"features.{block}.{key}", f"must be an integer, got {value!r}")

@@ -38,7 +38,6 @@ CACHE_MAGIC = b"ICLF"
 CACHE_VERSION = 1
 _CACHE_HEADER = struct.Struct("<HBIII")  # version, kind code, frames, bins, label
 CACHE_HEADER_BYTES = len(CACHE_MAGIC) + _CACHE_HEADER.size  # 19
-MAX_LABEL = 2**32 - 1  # the largest label the header's u32 holds
 
 
 class FeatureError(IclError):

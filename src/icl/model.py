@@ -64,19 +64,19 @@ def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -
     return rng.uniform(-limit, limit, size=shape)
 
 
-def encoder_param_shapes(cfg: EncoderConfig, prefix: str) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every encoder parameter, in initialization order."""
+def encoder_param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name (``<input kind>/...``) -> shape of every encoder parameter, in init order."""
     shapes: dict[str, tuple[int, ...]] = {}
 
     def conv(name: str, out_ch: int, in_ch: int, k: int) -> None:
         shapes[f"{name}/w"] = (out_ch, in_ch, k, k)
         shapes[f"{name}/b"] = (out_ch,)
 
-    conv(f"{prefix}/stem", cfg.stem_channels, 1, 3)
+    conv(f"{cfg.input_kind}/stem", cfg.stem_channels, 1, 3)
     in_ch = cfg.stem_channels
     for s, (width, blocks) in enumerate(zip(cfg.channel_widths, cfg.blocks_per_stage)):
         for b in range(blocks):
-            base = f"{prefix}/stage{s}/block{b}"
+            base = f"{cfg.input_kind}/stage{s}/block{b}"
             conv(f"{base}/conv1", width, in_ch, 3)
             conv(f"{base}/conv2", width, width, 3)
             stride = 2 if b == 0 else 1
@@ -86,14 +86,14 @@ def encoder_param_shapes(cfg: EncoderConfig, prefix: str) -> dict[str, tuple[int
     return shapes
 
 
-def init_encoder_params(cfg: EncoderConfig, seed: int, prefix: str) -> dict[str, Tensor]:
+def init_encoder_params(cfg: EncoderConfig, seed: int) -> dict[str, Tensor]:
     """He-uniform conv weights (fan-in = all but the output axis), drawn in
-    the order of ``encoder_param_shapes``; zero biases."""
-    rng = np.random.default_rng([seed, zlib.crc32(prefix.encode())])
+    the order of ``encoder_param_shapes``, seeded by seed and input kind; zero biases."""
+    rng = np.random.default_rng([seed, zlib.crc32(cfg.input_kind.encode())])
     return {name: Tensor(_he_uniform(rng, shape, int(np.prod(shape[1:])))
                          if name.endswith("/w") else np.zeros(shape),
                          requires_grad=True, name=name)
-            for name, shape in encoder_param_shapes(cfg, prefix).items()}
+            for name, shape in encoder_param_shapes(cfg).items()}
 
 
 def encoder_forward(params: dict[str, Tensor], cfg: EncoderConfig, x: Tensor) -> EncoderOutput:
@@ -109,11 +109,10 @@ def encoder_forward(params: dict[str, Tensor], cfg: EncoderConfig, x: Tensor) ->
     def conv(name: str, t: Tensor, stride: int) -> Tensor:
         return ad.conv2d(t, params[f"{name}/w"], params[f"{name}/b"], stride)
 
-    prefix = next(iter(params)).split("/")[0]
-    out = ad.relu(conv(f"{prefix}/stem", x, 2))
+    out = ad.relu(conv(f"{cfg.input_kind}/stem", x, 2))
     for s, blocks in enumerate(cfg.blocks_per_stage):
         for b in range(blocks):
-            base = f"{prefix}/stage{s}/block{b}"
+            base = f"{cfg.input_kind}/stage{s}/block{b}"
             stride = 2 if b == 0 else 1
             y = ad.relu(conv(f"{base}/conv1", out, stride))
             y = conv(f"{base}/conv2", y, 1)

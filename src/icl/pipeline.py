@@ -6,12 +6,13 @@ Each stage reads and writes plain artifacts under one output directory:
       manifest.json            synthesized dataset description + WAV paths
       wavs/*.wav               synthesized tracks (16-bit PCM)
       features/index.json      segment table, feature geometry and the
-                               features/segmentation config that made them
+                               cache key (``_cache_key``) that made them
       features/<kind>/*.iclf   cached feature matrices
-      runs/<name>/             per-run: resolved_config.json, metrics.jsonl
-                               (the one per-epoch record), checkpoint.iclc,
-                               stats.json, run.json, eval.json, confusion +
-                               CAM exports
+      runs/<name>/             per-run: resolved_config.json (what eval, cam
+                               and report read back), metrics.jsonl (the one
+                               per-epoch record), checkpoint.iclc, stats.json,
+                               eval.json, confusion + CAM exports, and run.json
+                               (for the benchmark's checks; no command reads it)
       report/results.{csv,json}
 
 Each command reads only the cache rows it uses: train the train and val
@@ -37,11 +38,15 @@ class PipelineError(IclError):
     pass
 
 
-# Config blocks that decide the cached feature values. Extract records them
-# in the index; every reader refuses a cache made under other values, except
-# for ``features.kinds``: it only decides which kinds are cached, and a
-# missing kind is refused on its own.
-_CACHE_BLOCKS = ("features", "segmentation")
+def _cache_key(cfg: dict) -> dict:
+    """What decides a feature cache: features, segmentation, the dataset and,
+    when synthesized, the seed that drew it (a manifest serves every seed).
+    Extract records it; readers refuse another key, ``features.kinds`` aside:
+    a missing kind is refused on its own."""
+    key = {block: cfg[block] for block in ("features", "segmentation", "dataset")}
+    if cfg["dataset"]["synthesis"] is not None:
+        key["seed"] = cfg["seed"]
+    return key
 
 
 def _flatten(doc: dict, prefix: str = "") -> dict:
@@ -78,11 +83,17 @@ def cmd_extract(cfg: dict, out_dir) -> dict:
     if manifest is None and not (out_dir / "manifest.json").exists():
         raise PipelineError(f"no {out_dir / 'manifest.json'}; run `icl synth` first "
                             "or set dataset.manifest")
-    tracks = audio.load_manifest(out_dir / "manifest.json" if manifest is None else manifest)
+    manifest = out_dir / "manifest.json" if manifest is None else Path(manifest)
+    tracks = audio.load_manifest(manifest)
     seg_cfg = cfg["segmentation"]
     segments, skipped = audio.segment_tracks(tracks, seg_cfg["segment_len"], seg_cfg["overlap"])
     if not segments:
         raise PipelineError("no segments produced; tracks shorter than segment_len?")
+    labels = sorted({s.label for s in segments})
+    if labels != list(range(len(labels))):  # the head has one row per class
+        found = ", ".join(map(str, labels[:8])) + (", ..." if len(labels) > 8 else "")
+        raise PipelineError(f"the segments of {manifest} have labels {found}; "
+                            "K classes need the labels 0..K-1")
     # One filter bank and one frequency axis serve every segment.
     rates = {seg.sample_rate: seg.parent_track_id for seg in segments}
     if len(rates) > 1:
@@ -115,14 +126,13 @@ def cmd_extract(cfg: dict, out_dir) -> dict:
             features.write_feature_cache(
                 feat_dir / kind / f"{seg.segment_id}.iclf", values, kind, seg.label)
 
-    labels = sorted({s.label for s in segments})
     index = {
         "sample_rate": sample_rate,
         "kinds": kinds,
-        "n_classes": max(labels) + 1,
+        "n_classes": len(labels),
         "skipped_tracks": skipped,
         "feature_geometry": geometry,
-        "config": {block: cfg[block] for block in _CACHE_BLOCKS},
+        "config": _cache_key(cfg),
         "segments": [{"id": s.segment_id, "track": s.parent_track_id,
                       "label": s.label, "offset": s.offset} for s in segments],
     }
@@ -144,7 +154,7 @@ def _parse_index(index: dict):
     kinds = index["kinds"]
     if not all(k in features.KINDS for k in kinds):
         raise ValueError(f"kinds must list stft|mel|cqt, got {kinds!r}")
-    recorded = _flatten(index["config"]) if "config" in index else None
+    recorded = _flatten(index.get("config", {}))
     geo = index["feature_geometry"]
     geometry = {k: (geo[k]["n_frames"], geo[k]["n_bins"]) for k in kinds}
     return refs, n_classes, geometry, recorded
@@ -162,10 +172,7 @@ def _read_index(cfg: dict, out_dir: Path, kinds: tuple[str, ...]
         if kind not in geometry:
             raise PipelineError(f"feature kind {kind!r} was not extracted "
                                 f"(have {sorted(geometry)})")
-    if cached is None:
-        raise PipelineError(f"{index_path} does not record the config it was extracted with; "
-                            "re-run `icl extract`")
-    wanted = _flatten({block: cfg[block] for block in _CACHE_BLOCKS})
+    wanted = _flatten(_cache_key(cfg))
     differ = [key for key in sorted(cached.keys() | wanted.keys())
               if key != "features.kinds" and cached.get(key) != wanted.get(key)]
     if differ:
@@ -244,7 +251,7 @@ def cmd_train(cfg: dict, out_dir, run_name: str | None = None) -> Path:
                {k: {"mean": s.mean, "std": s.std} for k, s in stats.items()})
     write_json(run_dir / "run.json", {
         "mode": settings.mode, "seed": settings.seed,
-        "alpha": settings.alpha if settings.mode == training.MODE_ICL else 0.0,
+        "alpha": settings.loss_alpha,
         "epochs": settings.epochs, "feature_kinds": list(kinds),
         "n_classes": data.n_classes, "best_epoch": run.best_epoch,
         "best_val_accuracy": run.best_val_accuracy,
@@ -266,7 +273,7 @@ def _load_run(out_dir: Path, run_name: str):
     enc_cfgs = encoder_configs(cfg, kinds)
     shapes = {}
     for kind, enc in enc_cfgs.items():
-        shapes.update(model.encoder_param_shapes(enc, prefix=kind))
+        shapes.update(model.encoder_param_shapes(enc))
     shapes.update({"head/w": (n_classes, enc.embedding_dim), "head/b": (n_classes,)})
     params = load_checkpoint(run_dir / "checkpoint.iclc")
     got = {name: p.shape for name, p in params.items()}
@@ -341,7 +348,7 @@ def cmd_report(out_dir) -> dict:
     runs_root = out_dir / "runs"
     if not runs_root.exists():
         raise PipelineError(f"no runs directory under {out_dir}")
-    run_dirs = sorted(p for p in runs_root.iterdir() if (p / "run.json").exists())
+    run_dirs = sorted(p for p in runs_root.iterdir() if (p / "resolved_config.json").exists())
     if not run_dirs:
         raise PipelineError(f"no completed runs under {runs_root}")
     return reporting.export_report(run_dirs, out_dir / "report")

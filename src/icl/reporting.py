@@ -1,4 +1,5 @@
-"""Artifact export: PGM heat maps, CSV matrices, and results tables.
+"""Artifact export: PGM heat maps, CSV matrices, and the results table, read
+from each run's checked ``resolved_config.json`` and its ``eval.json``.
 
 All writers are deterministic: fixed float formatting, sorted rows, no
 timestamps, so re-running an export over unchanged runs reproduces the
@@ -12,9 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import train_settings, validate_config
 from .errors import IclError, is_int, read_json, write_json
 from .losses import ensemble_predict
 from .metrics import ConfusionMatrix
+from .training import MODE_ICL, TrainSettings
 
 
 class ReportError(IclError):
@@ -63,20 +66,6 @@ def export_cam(cam, base_path) -> list[Path]:
     return [pgm_path, csv_path]
 
 
-METHOD_BY_MODE = {"icl": "contrastive", "mel": "baseline", "cqt": "baseline",
-                  "stft": "baseline"}
-FEATURES_BY_MODE = {"icl": "mel+cqt", "mel": "mel", "cqt": "cqt", "stft": "stft"}
-
-
-def _check_run_info(info: dict) -> dict:
-    """run.json as the report reads it: a known mode, an integer seed, a numeric alpha."""
-    mode, seed, alpha = info["mode"], info["seed"], info.get("alpha", 0.0)
-    if not (mode in METHOD_BY_MODE and is_int(seed) and (is_int(alpha) or type(alpha) is float)):
-        raise ValueError(f"mode {mode!r}, seed {seed!r} or alpha {alpha!r} is not "
-                         "icl|mel|cqt|stft, an integer and a number")
-    return info
-
-
 def _check_eval(ev: dict) -> dict:
     """eval.json as the report reads it: a float accuracy, and per sample a
     string id, an integer label and probabilities that sum to 1."""
@@ -91,31 +80,32 @@ def _check_eval(ev: dict) -> dict:
     return ev
 
 
-def _read_runs(run_dirs: list[Path]) -> list[tuple[str, dict, dict]]:
-    """(name, run.json, eval.json) of each evaluated run."""
+def _read_runs(run_dirs: list[Path]) -> list[tuple[str, TrainSettings, dict]]:
+    """(name, training settings, eval.json) of each evaluated run; the
+    settings come from the run's resolved_config.json."""
     runs = []
     for run_dir in map(Path, run_dirs):
-        if not (run_dir / "eval.json").exists() or not (run_dir / "run.json").exists():
-            raise ReportError(f"run {run_dir} is missing eval.json or run.json; "
-                              "run `icl eval` on it first")
-        runs.append((run_dir.name, read_json(run_dir / "run.json", _check_run_info),
-                     read_json(run_dir / "eval.json", _check_eval)))
+        if not (run_dir / "eval.json").exists():
+            raise ReportError(f"run {run_dir} is missing eval.json; run `icl eval` on it first")
+        settings = read_json(run_dir / "resolved_config.json",
+                             lambda doc: train_settings(validate_config(doc)))
+        runs.append((run_dir.name, settings, read_json(run_dir / "eval.json", _check_eval)))
     return runs
 
 
-def collect_run_rows(runs: list[tuple[str, dict, dict]]) -> list[dict]:
-    """Per-run rows (method, features, seed, accuracy) from eval artifacts."""
-    return [{"method": METHOD_BY_MODE[info["mode"]], "features": FEATURES_BY_MODE[info["mode"]],
-             "seed": info["seed"], "alpha": info.get("alpha", 0.0),
-             "accuracy": ev["accuracy"], "run": name} for name, info, ev in runs]
+def collect_run_rows(runs: list[tuple[str, TrainSettings, dict]]) -> list[dict]:
+    """Per-run rows (method, features, seed, alpha, accuracy) from eval artifacts."""
+    return [{"method": "contrastive" if s.mode == MODE_ICL else "baseline",
+             "features": "+".join(s.feature_kinds), "seed": s.seed, "alpha": s.loss_alpha,
+             "accuracy": ev["accuracy"], "run": name} for name, s, ev in runs]
 
 
-def ensemble_rows(runs: list[tuple[str, dict, dict]]) -> list[dict]:
+def ensemble_rows(runs: list[tuple[str, TrainSettings, dict]]) -> list[dict]:
     """Decision-level ensemble of same-seed mel/cqt baseline runs."""
     by_seed: dict[int, dict[str, dict]] = {}
-    for _, info, ev in runs:
-        if info["mode"] in ("mel", "cqt"):
-            by_seed.setdefault(info["seed"], {})[info["mode"]] = ev
+    for _, s, ev in runs:
+        if s.mode in ("mel", "cqt"):
+            by_seed.setdefault(s.seed, {})[s.mode] = ev
     rows = []
     for seed in sorted(by_seed):
         pair = by_seed[seed]

@@ -86,6 +86,11 @@ class TrainSettings:
     def feature_kinds(self) -> tuple[str, ...]:
         return ("mel", "cqt") if self.mode == MODE_ICL else (self.mode,)
 
+    @property
+    def loss_alpha(self) -> float:
+        """The weight of the contrastive term: alpha in icl mode, 0 in a baseline mode."""
+        return self.alpha if self.mode == MODE_ICL else 0.0
+
 
 @dataclass
 class TrainRun:
@@ -113,7 +118,7 @@ def init_model_params(kinds: tuple[str, ...], enc_cfgs: dict[str, model.EncoderC
         raise TrainingError(f"encoder embedding dims differ across kinds: {dims}")
     params: dict[str, Tensor] = {}
     for kind in kinds:
-        params.update(model.init_encoder_params(enc_cfgs[kind], seed, prefix=kind))
+        params.update(model.init_encoder_params(enc_cfgs[kind], seed))
     params.update(model.init_head_params(n_classes, dims.pop(), seed))
     return params
 
@@ -229,7 +234,7 @@ def train(data: DatasetSplits, enc_cfgs: dict[str, model.EncoderConfig],
 
     n_train = data.split_size("train")
     y_train = data.labels["train"]
-    alpha = settings.alpha if settings.mode == MODE_ICL else 0.0
+    alpha = settings.loss_alpha
 
     best_acc = -1.0
     best_epoch = -1

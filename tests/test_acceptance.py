@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import icl.autodiff as ad
 from icl import model, pipeline
@@ -43,8 +44,8 @@ def test_criterion_1_gradient_correctness():
 
     # full two-encoder combined-loss graph at tiny dims
     cfgs = {k: EncoderConfig(k, 2, (1, 1), (2, 3), 3) for k in ("mel", "cqt")}
-    pm = model.init_encoder_params(cfgs["mel"], 0, "mel")
-    pc = model.init_encoder_params(cfgs["cqt"], 0, "cqt")
+    pm = model.init_encoder_params(cfgs["mel"], 0)
+    pc = model.init_encoder_params(cfgs["cqt"], 0)
     ph = model.init_head_params(3, 3, 0)
     names = list(pm) + list(pc) + list(ph)
     arrays = [(pm | pc | ph)[n].data for n in names]
@@ -132,7 +133,7 @@ def test_criterion_4_cam_identity():
     worst = 0.0
     for trial in range(50):
         rng = np.random.default_rng(1000 + trial)
-        params = model.init_encoder_params(cfg, 1000 + trial, "mel")
+        params = model.init_encoder_params(cfg, 1000 + trial)
         params.update(model.init_head_params(4, 3, 1000 + trial))
         x = rng.standard_normal((1, 1, 12, 9))
         if trial % 5 == 0:  # train a fifth of the models for a few steps
@@ -157,6 +158,7 @@ def test_criterion_4_cam_identity():
            f"max |mean(raw CAM) - W[c]·embedding| = {worst:.2e} over 50 pairs (<= 1e-9)")
 
 
+@pytest.mark.desk
 def test_criterion_5_synthetic_contrastive_experiment(desk_experiment):
     acc = desk_experiment["accuracies"]
     mean = {k: float(np.mean(list(v.values()))) for k, v in acc.items()}
@@ -213,6 +215,7 @@ def test_criterion_7_reproducibility(tmp_path):
            f"checkpoints byte-identical {ckpt_ok}")
 
 
+@pytest.mark.desk
 def test_criterion_8_alpha_sweep_shape(desk_experiment):
     acc = desk_experiment["accuracies"]
     mean = {k: float(np.mean(list(v.values()))) for k, v in acc.items()}

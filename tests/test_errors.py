@@ -275,9 +275,8 @@ def json_fuzz_run(micro_run, tmp_path_factory):
     return out, micro_run[1], micro_run[2]
 
 
-@pytest.mark.parametrize("victim", ["features/index.json", "runs/{run}/run.json",
-                                    "runs/{run}/eval.json", "runs/{run}/stats.json",
-                                    "runs/{run}/resolved_config.json"])
+@pytest.mark.parametrize("victim", ["features/index.json", "runs/{run}/eval.json",
+                                    "runs/{run}/stats.json", "runs/{run}/resolved_config.json"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_json_artifact_fuzz(json_fuzz_run, victim, data):
@@ -297,15 +296,17 @@ def test_json_artifact_fuzz(json_fuzz_run, victim, data):
     else:
         parent[where[-1]] = new
     path.write_text(json.dumps(edited))
+    readers = {"index.json": [lambda: pipeline.load_dataset(cfg, out, ("mel", "cqt"))],
+               "eval.json": [lambda: pipeline.cmd_report(out)],
+               "stats.json": [lambda: pipeline.cmd_eval(out, run_name)],
+               "resolved_config.json": [lambda: pipeline.cmd_report(out),
+                                        lambda: pipeline.cmd_eval(out, run_name)]}
     try:
-        if path.name == "index.json":
-            pipeline.load_dataset(cfg, out, ("mel", "cqt"))
-        elif path.name in ("run.json", "eval.json"):
-            pipeline.cmd_report(out)
-        else:
-            pipeline.cmd_eval(out, run_name)
-    except IclError:
-        pass
+        for read in readers[path.name]:
+            try:
+                read()
+            except IclError:
+                pass
     finally:
         path.write_text(original)
 

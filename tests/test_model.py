@@ -1,5 +1,7 @@
 """Encoders, classifier head, and class activation mapping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,8 @@ TINY = EncoderConfig("mel", stem_channels=2, blocks_per_stage=(1, 1),
                      channel_widths=(2, 3), embedding_dim=3)
 
 
-def tiny_params(seed=0, prefix="mel"):
-    return init_encoder_params(TINY, seed, prefix)
+def tiny_params(seed=0):
+    return init_encoder_params(TINY, seed)
 
 
 def test_config_requires_embedding_to_match_last_width():
@@ -54,10 +56,10 @@ def test_input_below_minimum_rejected():
 
 
 def test_two_encoders_share_no_parameters():
-    a = init_encoder_params(TINY, 0, "mel")
-    b = init_encoder_params(TINY, 0, "cqt")
+    a = init_encoder_params(TINY, 0)
+    b = init_encoder_params(replace(TINY, input_kind="cqt"), 0)
     assert not set(a) & set(b)
-    # and different prefixes draw different initializations
+    # and different input kinds draw different initializations
     assert not np.array_equal(a["mel/stem/w"].data, b["cqt/stem/w"].data)
 
 
@@ -134,7 +136,7 @@ def test_cam_localizes_burst_like_occlusion_oracle():
     y = np.array([0] * n_per + [1] * n_per)
 
     cfg = EncoderConfig("mel", 8, (1,), (8,), 8)
-    params = init_encoder_params(cfg, 0, "mel")
+    params = init_encoder_params(cfg, 0)
     params.update(init_head_params(2, 8, 0))
     opt = AdamW(params, lr=1e-2, weight_decay=1e-4)
 

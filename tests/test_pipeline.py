@@ -113,6 +113,32 @@ def test_stale_feature_cache_is_refused(tmp_path):
     assert "n_filters" not in str(exc.value)
 
 
+@pytest.mark.parametrize("overrides, key", [
+    (["seed=1"], r"seed \(cache 0, config 1\)"),
+    (["dataset.synthesis.snr_db=-20", "training.mode=mel"],
+     r"dataset\.synthesis\.snr_db \(cache 12, config -20\)"),
+])
+def test_cache_of_another_synthesized_dataset_is_refused(micro_run, tmp_path, capsys,
+                                                         overrides, key):
+    out = tmp_path / "out"
+    shutil.copytree(micro_run[0], out)
+    err = _one_error_line(capsys, ["train", "--out", str(out), *_micro_args(*overrides)])
+    assert re.search(key, err) and "re-run `icl extract`" in err
+    assert [p.name for p in (out / "runs").iterdir()] == [micro_run[1]]
+
+
+def test_cache_of_a_manifest_trains_every_seed(micro_run, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(micro_run[0], out)
+    dataset = [f"dataset.manifest={out / 'manifest.json'}", "dataset.synthesis=null",
+               "training.mode=mel"]
+    index = pipeline.cmd_extract(micro_config(*dataset), out)
+    assert "seed" not in index["config"]
+    for seed in (0, 1):
+        run_dir = pipeline.cmd_train(micro_config(*dataset, seed=seed), out)
+        assert run_dir.name == f"mel-s{seed}"
+
+
 def test_cache_index_without_config_is_refused(micro_run, tmp_path):
     out = tmp_path / "out"
     shutil.copytree(micro_run[0], out)
@@ -219,8 +245,26 @@ def _one_track_manifest(label: str) -> str:
     return '{"tracks": [{"track_id": "t", "path": "wavs/synth_c0_t0.wav", "label": %s}]}' % label
 
 
+def _relabel_class_2(path: Path) -> str:
+    """The manifest with the class-2 tracks relabelled 1000."""
+    doc = json.loads(path.read_text())
+    for track in doc["tracks"]:
+        track["label"] = 1000 if track["label"] == 2 else track["label"]
+    return json.dumps(doc)
+
+
+def _short_class_1(path: Path) -> str:
+    """The manifest with every class-1 track replaced by one 1 s track,
+    shorter than the 1.5 s segments: the segments have labels 0 and 2."""
+    wavio.write_wav(path.parent / "wavs" / "short.wav", np.zeros(1000), 1000)
+    doc = json.loads(path.read_text())
+    for track in doc["tracks"]:
+        track["path"] = "wavs/short.wav" if track["label"] == 1 else track["path"]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("victim, content, command", [
-    ("runs/{run}/run.json", "{not json", "report"),
+    ("runs/{run}/resolved_config.json", "{not json", "report"),
     ("runs/{run}/eval.json", "[", "report"),
     ("features/index.json", '{"kinds": [', "eval"),
     ("runs/{run}/checkpoint.iclc", "ICLC\x01", "eval"),
@@ -230,8 +274,11 @@ def _one_track_manifest(label: str) -> str:
     ("manifest.json", _one_track_manifest("true"), "extract"),
     ("manifest.json", _one_track_manifest("-1"), "extract"),
     ("manifest.json", _one_track_manifest('"1"'), "extract"),
-    # The feature cache stores labels as u32.
+    # Segment labels must be 0..K-1: one class of label 2**32 is refused,
+    # as are a gap in the labels and a class whose tracks are all too short.
     ("manifest.json", _one_track_manifest(str(2**32)), "extract"),
+    ("manifest.json", _relabel_class_2, "extract"),
+    ("manifest.json", _short_class_1, "extract"),
 ])
 def test_damaged_artifact_ends_in_one_error_line(micro_run, tmp_path, capsys,
                                                  victim, content, command):
@@ -245,8 +292,10 @@ def test_damaged_artifact_ends_in_one_error_line(micro_run, tmp_path, capsys,
         argv = ["eval", "--out", str(out), "--run", micro_run[1]]
     else:
         argv = ["extract", "--out", str(out), *_micro_args(f"dataset.manifest={path}")]
-    path.write_text(content)
+    path.write_text(content if isinstance(content, str) else content(path))
+    cache = {p: p.stat().st_mtime_ns for p in (out / "features").rglob("*")}
     assert path.name in _one_error_line(capsys, argv)
+    assert {p: p.stat().st_mtime_ns for p in (out / "features").rglob("*")} == cache
 
 
 def _drop_segments(index):
@@ -306,12 +355,12 @@ def _text_epochs(cfg):
     cfg["training"]["epochs"] = "x"
 
 
-def _drop_mode(info):
-    del info["mode"]
+def _drop_mode(cfg):
+    del cfg["training"]["mode"]
 
 
-def _unknown_mode(info):
-    info["mode"] = "xyz"
+def _unknown_mode(cfg):
+    cfg["training"]["mode"] = "xyz"
 
 
 def _drop_accuracy(ev):
@@ -335,8 +384,8 @@ def _drop_accuracy(ev):
     ("runs/{run}/resolved_config.json", _unknown_key, "cam"),
     ("runs/{run}/resolved_config.json", _text_epochs, "eval"),
     ("runs/{run}/resolved_config.json", _text_epochs, "cam"),
-    ("runs/{run}/run.json", _drop_mode, "report"),
-    ("runs/{run}/run.json", _unknown_mode, "report"),
+    ("runs/{run}/resolved_config.json", _drop_mode, "report"),
+    ("runs/{run}/resolved_config.json", _unknown_mode, "report"),
     ("runs/{run}/eval.json", _drop_accuracy, "report"),
 ])
 def test_json_artifact_of_wrong_structure_ends_in_one_error_line(
@@ -357,11 +406,34 @@ def test_json_artifact_of_wrong_structure_ends_in_one_error_line(
 
 
 def test_eval_and_cam_read_no_run_json(micro_run, tmp_path):
-    out = tmp_path / "out"
-    shutil.copytree(micro_run[0], out)
-    (out / "runs" / micro_run[1] / "run.json").unlink()
+    """No command reads run.json: without it eval and cam succeed, and the
+    report is byte-identical to that of a copy that keeps it. A baseline run
+    configured with alpha 0.5 is reported at alpha 0."""
+    kept, out = tmp_path / "kept", tmp_path / "out"
+    shutil.copytree(micro_run[0], kept)
+    baseline = pipeline.cmd_train(micro_config("training.mode=mel"), kept).name
+    for run_name in (micro_run[1], baseline):
+        pipeline.cmd_eval(kept, run_name)
+    shutil.copytree(kept, out)
+    for run_json in out.glob("runs/*/run.json"):
+        run_json.unlink()
     assert main(["eval", "--out", str(out), "--run", micro_run[1]]) == 0
     assert main(["cam", "--out", str(out), "--run", micro_run[1]]) == 0
+    for root in (kept, out):
+        assert main(["report", "--out", str(root)]) == 0
+    for name in ("results.csv", "results.json"):
+        assert (out / "report" / name).read_bytes() == (kept / "report" / name).read_bytes()
+    rows = json.loads((out / "report" / "results.json").read_text())["rows"]
+    assert [(r["method"], r["features"], r["alpha"]) for r in rows] == [
+        ("baseline", "mel", 0.0), ("contrastive", "mel+cqt", 0.5)]
+
+
+def test_report_on_a_run_without_eval_json_ends_in_one_error_line(micro_run, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(micro_run[0], out)
+    (out / "runs" / micro_run[1] / "eval.json").unlink(missing_ok=True)
+    err = _one_error_line(capsys, ["report", "--out", str(out)])
+    assert f"run {out / 'runs' / micro_run[1]} is missing eval.json" in err
 
 
 def test_extract_without_a_manifest_ends_in_one_error_line(tmp_path, capsys):

@@ -396,6 +396,7 @@ def test_missing_feature_kind_rejected(tmp_path):
         train(data, TINY_CFG, settings(), tmp_path / "m.jsonl")
 
 
+@pytest.mark.desk
 def test_desk_loss_curve_mostly_decreasing(desk_experiment):
     """On the reference synthetic config, >= 4 of the first 5 epoch-to-epoch
     transitions of the training loss are non-increasing."""
